@@ -4,13 +4,17 @@ Every scenario before this one measures the *virtual* clock; E9 pins the
 first path whose **real** elapsed time can track the virtual per-partition
 makespan: the shared-nothing process executor (PR 5).  Three properties:
 
-* the executor matrix (sequential, GIL-bound threads, worker processes) is
-  result-transparent on the scan-heavy workload — byte-identical rows, no
-  float tolerance, since all executors enumerate in partition order;
+* the executor matrix (sequential, worker processes) is result-transparent
+  on the scan-heavy workload — byte-identical rows, no float tolerance,
+  since both executors enumerate in partition order;
 * on a multi-core machine the process executor's wall clock beats the GIL:
-  process wall-clock ≤ thread wall-clock and speedup vs. sequential ≥ 1.0
-  (deliberately relaxed — CI machines are noisy and have few cores; the
-  persistent baseline in ``BENCH_relalg.json`` records the real ratios);
+  speedup vs. sequential ≥ 1.0 (deliberately relaxed — CI machines are
+  noisy and have few cores; the persistent baseline in
+  ``BENCH_relalg.json`` records the real ratios).  The speedup is the
+  median of paired per-round ratios over interleaved rounds, so both
+  executors are timed in the same machine phase: a best-of-N minimum per
+  executor, taken in separate windows, lets one lucky round decide and
+  flips the verdict whenever the machine changes speed between windows;
 * the assertions are scaled to the hardware: a single-core machine checks
   result transparency only, because no executor can beat sequential there.
 """
@@ -18,6 +22,7 @@ makespan: the shared-nothing process executor (PR 5).  Three properties:
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -58,14 +63,18 @@ def _run(database: Database):
     return [database.query(sql, params).rows for sql, params in _QUERIES]
 
 
-def _best_wall(database: Database, rounds: int = 3) -> float:
-    """Best-of-N wall time (the standard noise-resistant benchmark read)."""
-    best = float("inf")
+def _wall(database: Database) -> float:
+    start = time.perf_counter()
+    _run(database)
+    return time.perf_counter() - start
+
+
+def _paired_walls(sequential: Database, parallel: Database, rounds: int = 30):
+    """Wall times of ``rounds`` interleaved (sequential, parallel) pairs."""
+    pairs = []
     for _ in range(rounds):
-        start = time.perf_counter()
-        _run(database)
-        best = min(best, time.perf_counter() - start)
-    return best
+        pairs.append((_wall(sequential), _wall(parallel)))
+    return pairs
 
 
 class TestE9WallClock:
@@ -73,8 +82,6 @@ class TestE9WallClock:
         sequential = _build()
         reference = _run(sequential)
         assert reference[0], "the workload must produce rows"
-        with _build(parallel=2, executor="thread") as threaded:
-            assert _run(threaded) == reference
         with _build(executor=process_pool) as parallel:
             assert _run(parallel) == reference
 
@@ -88,26 +95,18 @@ class TestE9WallClock:
         reference = _run(sequential)
 
         def measure():
-            sequential_wall = _best_wall(sequential)
-            with _build(parallel=workers, executor="thread") as threaded:
-                assert _run(threaded) == reference
-                thread_wall = _best_wall(threaded)
             with ProcessScanExecutor(workers=workers) as pool, \
                     _build(executor=pool) as parallel:
                 assert _run(parallel) == reference
-                process_wall = _best_wall(parallel)
-            return sequential_wall, thread_wall, process_wall
+                return _paired_walls(sequential, parallel)
 
-        sequential_wall, thread_wall, process_wall = benchmark.pedantic(
-            measure, rounds=1, iterations=1
-        )
-        speedup = sequential_wall / process_wall
+        pairs = benchmark.pedantic(measure, rounds=1, iterations=1)
+        sequential_wall = statistics.median(s for s, _ in pairs)
+        process_wall = statistics.median(p for _, p in pairs)
+        speedup = statistics.median(s / p for s, p in pairs)
         benchmark.extra_info["sequential_wall_s"] = round(sequential_wall, 6)
-        benchmark.extra_info["thread_wall_s"] = round(thread_wall, 6)
         benchmark.extra_info["process_wall_s"] = round(process_wall, 6)
         benchmark.extra_info["process_speedup"] = round(speedup, 3)
-        # Relaxed CI bounds (see module docstring): the process executor
-        # must not lose to the GIL-bound thread pool, and must not lose to
-        # plain sequential execution.
-        assert process_wall <= thread_wall
+        # Relaxed CI bound (see module docstring): the process executor must
+        # not lose to plain sequential execution.
         assert speedup >= 1.0

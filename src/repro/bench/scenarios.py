@@ -103,10 +103,9 @@ def load_into_backend(
     two paths.  ``n_partitions`` shards every created table by primary key
     and ``parallelism`` sets the backend's virtual scan workers (per-partition
     makespan charging) — the partition-sweep benchmark drives both.
-    ``executor`` picks the engine-side fan-out realizing that parallelism
-    ("thread", "process" or "sequential"; see
-    :func:`repro.relalg.backends.backend`) — the E9 wall-clock benchmark
-    sweeps it.
+    ``executor="process"`` realizes that parallelism on worker processes;
+    ``None`` or ``"sequential"`` keeps it virtual-only (see
+    :func:`repro.relalg.backends.backend`).
     """
     client = client_factory(
         backend(

@@ -488,30 +488,28 @@ class SimulatedBackend:
         #: instead of the serial sum.  ``1`` (the default) is the historical
         #: serial charging, byte-for-byte.
         self.parallelism = parallelism
-        # ``executor`` picks the engine-side fan-out realizing the modeled
-        # parallelism ("thread" — historical — or "process" for true
-        # multi-core; "sequential" keeps the virtual charge without any
-        # OS-level fan-out).  The virtual makespan charge is identical for
-        # all three: the executor decides whether the *wall* clock tracks it.
-        if executor in ("thread", "process") and parallelism < 2:
+        # ``executor="process"`` realizes the modeled parallelism on a
+        # worker-process pool; ``None`` or "sequential" keeps the virtual
+        # makespan charge without any OS-level fan-out.  The virtual charge
+        # is identical either way: the executor decides whether the *wall*
+        # clock tracks it.
+        if executor not in (None, "sequential", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r} "
+                f"(expected None, 'sequential' or 'process')"
+            )
+        if executor == "process" and parallelism < 2:
             # Mirror Database's validation: silently ignoring the requested
             # fan-out would make wall-clock comparisons measure the wrong
             # executor.
             raise ValueError(
                 f"executor={executor!r} requires parallelism >= 2 workers"
             )
-        if executor == "sequential":
-            engine_parallel = None
-            engine_executor: Optional[str] = None
-        else:
-            engine_parallel = parallelism if parallelism > 1 else None
-            engine_executor = executor if engine_parallel is not None else None
         self.database = database or Database(
             name=profile.name,
             engine=engine,
             n_partitions=n_partitions,
-            parallel=engine_parallel,
-            executor=engine_executor,
+            parallel=parallelism if executor == "process" else None,
             wal_path=wal_path,
             wal_autocheckpoint=wal_autocheckpoint,
         )
@@ -752,10 +750,9 @@ class SimulatedBackend:
     def close(self) -> None:
         """Release the engine's partition fan-out pool (idempotent).
 
-        Only relevant for backends created with ``parallelism > 1`` — the
-        underlying :class:`Database` lazily spawns worker threads (or, with
-        ``executor="process"``, worker processes) that would otherwise idle
-        until process exit.
+        Only relevant for backends created with ``executor="process"`` — the
+        underlying :class:`Database` lazily spawns worker processes that would
+        otherwise idle until process exit.
         """
         self.database.close()
 
@@ -793,13 +790,13 @@ def backend(
     database creates (ignored when ``database`` is supplied), and
     ``parallelism`` sets the virtual server's scan workers: scan costs are
     charged as the per-partition makespan over that many workers.
-    ``executor`` picks how the engine realizes that parallelism on real
-    hardware — ``"thread"`` (historical default when ``parallelism > 1``),
-    ``"process"`` (shared-nothing worker processes; the wall clock can
-    actually track the virtual makespan) or ``"sequential"`` (virtual-only
-    parallelism, no OS fan-out).  ``wal_path`` attaches a write-ahead log to
-    the backend's database (ignored when ``database`` is supplied), making
-    its commits crash-durable; ``wal_autocheckpoint`` bounds that log.
+    ``executor="process"`` realizes that parallelism on real hardware with
+    shared-nothing worker processes, so the wall clock can actually track
+    the virtual makespan; ``None`` (the default) or ``"sequential"`` keeps
+    the parallelism virtual-only, with no OS fan-out.  ``wal_path``
+    attaches a write-ahead log to the backend's database (ignored when
+    ``database`` is supplied), making its commits crash-durable;
+    ``wal_autocheckpoint`` bounds that log.
     """
     try:
         profile = BACKEND_PROFILES[name]

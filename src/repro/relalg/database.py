@@ -9,23 +9,18 @@ database client code even though everything runs in process.
 
 Every table the database creates is hash-partitioned by primary key into
 ``n_partitions`` shards (default 1: the historical single-partition layout,
-byte-for-byte).  ``parallel`` plus ``executor`` select how partitioned scans
-fan out:
+byte-for-byte).  Partitioned scans run one of two ways:
 
-* ``executor="sequential"`` (the default) — partitions are enumerated in
-  order on the calling thread;
-* ``executor="thread"`` — the driving scan level fans out over a
-  ``parallel``-worker thread pool (also the historical meaning of
-  ``Database(parallel=k)`` alone; GIL-bound, so the wall clock does not
-  follow the per-partition makespan);
-* ``executor="process"`` — the driving scan level fans out over a
-  shared-nothing, spawn-safe pool of ``parallel`` worker processes
-  (:class:`~repro.relalg.parallel.ProcessScanExecutor`), each owning a
-  disjoint subset of every table's shards; an existing executor instance can
-  be passed directly (``Database(executor=pool)``) to share one pool between
-  databases.
+* sequentially (the default) — partitions are enumerated in order on the
+  calling thread;
+* on a process pool — ``Database(parallel=k)`` fans the driving scan level
+  out over a shared-nothing, spawn-safe pool of ``k`` worker processes
+  (:class:`~repro.relalg.parallel.ProcessScanExecutor`) that the database
+  owns, each worker owning a disjoint subset of every table's shards;
+  ``Database(executor=pool)`` borrows an existing pool instead, so one pool
+  can serve many databases.  The two are exclusive.
 
-All three return identical results and identical :class:`QueryStats`; the
+Both return identical results and identical :class:`QueryStats`; the
 database is a context manager (``with Database(...) as db:``) so worker
 pools cannot leak.
 
@@ -176,7 +171,7 @@ class Database:
         engine: str = "compiled",
         n_partitions: int = 1,
         parallel: Optional[int] = None,
-        executor: Union[str, "ProcessScanExecutor", None] = None,
+        executor: Optional[ProcessScanExecutor] = None,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
         wal_hook=None,
@@ -215,49 +210,42 @@ class Database:
                 f"vectorized_chunk_size must be positive, "
                 f"got {vectorized_chunk_size}"
             )
-        shared_executor: Optional[ProcessScanExecutor] = None
-        if isinstance(executor, ProcessScanExecutor):
-            shared_executor = executor
-            executor = "process"
-        elif executor is None:
-            executor = "sequential" if parallel is None else "thread"
-        elif executor not in ("sequential", "thread", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r} (expected 'sequential', "
-                f"'thread', 'process' or a ProcessScanExecutor instance)"
-            )
-        if executor == "sequential" and parallel is not None:
-            raise ValueError(
-                "executor='sequential' takes no parallel workers; "
-                "pass executor='thread' or 'process' with parallel=k"
-            )
-        if (
-            executor in ("thread", "process")
-            and parallel is None
-            and shared_executor is None
+        if executor is not None and not isinstance(
+            executor, ProcessScanExecutor
         ):
             raise ValueError(
-                f"executor={executor!r} requires parallel=<worker count>"
+                f"unknown executor {executor!r} (expected a shared "
+                f"ProcessScanExecutor; pass parallel=k for an owned pool)"
+            )
+        if executor is not None and parallel is not None:
+            # The shared pool has its own worker count; accepting both
+            # would report `parallel` workers and run on the pool's.
+            raise ValueError(
+                f"parallel={parallel} conflicts with the shared executor's "
+                f"{executor.workers} workers; pass one or the other"
             )
         self.name = name
         self.engine = engine
         #: Default partition count of every table this database creates.
         self.n_partitions = n_partitions
-        #: Worker count of the optional partition fan-out (None = sequential
-        #: unless a shared process executor was passed in).
+        #: Worker count of the owned process pool (None when sequential or
+        #: when a shared process executor was passed in).
         self.parallel = parallel
-        #: Partition fan-out kind: "sequential", "thread" or "process".
-        self.executor = executor
+        #: Partition fan-out kind, derived: "process" with an owned or a
+        #: shared pool, otherwise "sequential".
+        self.executor = (
+            "sequential" if parallel is None and executor is None
+            else "process"
+        )
         #: Whether eligible plans drive their scans vectorized over columnar
         #: chunks (plan-time eligibility; row-at-a-time results and stats are
         #: preserved byte for byte).  ``False`` pins the row engine — the
         #: differential reference the fuzzers sweep against.
         self.vectorized = vectorized
         self.vectorized_chunk_size = vectorized_chunk_size
-        self._pool = None
         #: The process pool (owned and lazily created, or shared/borrowed).
-        self._process_executor = shared_executor
-        self._owns_executor = shared_executor is None
+        self._process_executor = executor
+        self._owns_executor = parallel is not None
         self.tables: Dict[str, Table] = {}
         self.summary = ExecutionSummary()
         self._statement_cache: Dict[str, Statement] = {}
@@ -958,31 +946,19 @@ class Database:
         return lines
 
     # ------------------------------------------------------------------ #
-    # parallel execution pools
+    # process execution pool
     # ------------------------------------------------------------------ #
 
-    def _execution_pool(self):
-        """The lazily created thread fan-out pool (None when sequential)."""
-        if self.parallel is None or self.executor != "thread":
-            return None
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallel,
-                thread_name_prefix=f"relalg-{self.name}",
-            )
-        return self._pool
-
-    def _process_pool(self) -> Optional["ProcessScanExecutor"]:
-        """The process executor (lazily created when owned; None after a
-        borrowed executor was released by :meth:`close`)."""
+    def _process_pool(self) -> Optional[ProcessScanExecutor]:
+        """The process executor (lazily created when owned; None when
+        sequential, or after a borrowed executor was released by
+        :meth:`close`)."""
         if self._process_executor is None and self._owns_executor:
             self._process_executor = ProcessScanExecutor(workers=self.parallel)
         return self._process_executor
 
     def close(self) -> None:
-        """Release the partition fan-out pools (idempotent).
+        """Release the partition fan-out pool (idempotent).
 
         An owned process executor is shut down; a shared one merely forgets
         this database's shard replicas and keeps serving its other owners.
@@ -1009,9 +985,6 @@ class Database:
         if self._wal is not None:
             wal, self._wal = self._wal, None
             wal.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._process_executor is not None:
             executor, self._process_executor = self._process_executor, None
             if self._owns_executor:
@@ -1054,7 +1027,7 @@ class Database:
         if self.engine == "interpreted":
             executor = InterpretedSelectExecutor(self.tables, params)
             result = executor.execute(statement)
-        elif self.executor == "process":
+        else:
             plan = self._plan_for(statement, sql)
             process_executor = self._process_pool()
             if self._txn is not None and self._txn.staged:
@@ -1066,15 +1039,6 @@ class Database:
                 params,
                 QueryStats(),
                 process_executor=process_executor,
-                vectorized=self._vectorized_now(),
-                chunk_size=self.vectorized_chunk_size,
-            )
-        else:
-            plan = self._plan_for(statement, sql)
-            result = plan.execute(
-                params,
-                QueryStats(),
-                pool=self._execution_pool(),
                 vectorized=self._vectorized_now(),
                 chunk_size=self.vectorized_chunk_size,
             )

@@ -1,10 +1,9 @@
 """Shared-nothing process-pool execution of partitioned scan levels.
 
-The thread fan-out of :meth:`QueryPlan.execute
-<repro.relalg.planner.QueryPlan.execute>` is architecture-complete but
-GIL-bound: the wall clock never follows the per-partition makespan the
-virtual cost model charges.  This module closes that gap with real OS
-processes:
+Sequential enumeration in :meth:`QueryPlan.execute
+<repro.relalg.planner.QueryPlan.execute>` runs on one core, so its wall clock
+never follows the per-partition makespan the virtual cost model charges.
+This module closes that gap with real OS processes:
 
 * :class:`ProcessScanExecutor` keeps a persistent pool of **spawn-safe
   worker processes**.  Each worker owns a disjoint subset of every table's
@@ -367,9 +366,9 @@ class ProcessScanExecutor:
     """A persistent, spawn-safe pool executing partitioned scans out of process.
 
     One executor can be owned by a single :class:`~repro.relalg.database.
-    Database` (``Database(parallel=k, executor="process")`` creates and
-    closes it) or shared between several databases — shard replicas are
-    keyed by the process-globally unique :attr:`Table.uid
+    Database` (``Database(parallel=k)`` creates and closes it) or shared
+    between several databases (``Database(executor=pool)``) — shard
+    replicas are keyed by the process-globally unique :attr:`Table.uid
     <repro.relalg.storage.Table.uid>`, so tables of different databases (or
     DROP/CREATE generations of one name) never alias.
 
@@ -528,7 +527,7 @@ class ProcessScanExecutor:
             # Covers (among others) range-probe driving levels and plans
             # with index-order pushdown: both must run sequentially in every
             # mode so their physical counters stay byte-identical across
-            # sequential / thread / process execution.
+            # sequential and process execution.
             return None
         if mode == "agg" and spec.partial_aggregate is None:
             return None

@@ -36,8 +36,8 @@ key, see :mod:`repro.relalg.storage`):
    interpreter's O(outer × inner) rescans.
 3. :class:`PartitionScan` — everything else; applicable conjuncts become
    filters.  The scan iterates partitions morsel-style, and
-   :meth:`QueryPlan.execute` optionally fans the partitions of the first
-   (driving) level out over a thread pool.
+   :meth:`QueryPlan.execute` optionally ships the first (driving) level to
+   a :class:`~repro.relalg.parallel.ProcessScanExecutor` worker pool.
 
 NULL join keys never match (both probe kinds), matching ``=`` semantics.
 
@@ -266,8 +266,8 @@ class QueryPlan:
     #: Lowered names of every table this plan reads (bindings + subqueries);
     #: the per-table plan-cache invalidation in ``Database`` keys off these.
     table_deps: Set[str]
-    #: Whether any bound table has more than one partition; single-partition
-    #: plans run the historical tight enumeration loop unchanged.
+    #: Whether any bound table has more than one partition; only such plans
+    #: are offered to the process-pool fan-out.
     partitioned: bool
     #: Plans of the statement's scalar subqueries, snapshot at plan time
     #: (the same moment — and therefore the same statistics — as the
@@ -328,8 +328,8 @@ class QueryPlan:
     #: single-level scan plan — execution k-way merges the per-partition
     #: sorted runs and stops after ``limit + offset`` surviving rows,
     #: instead of scanning everything and sorting.  Mode-independent (the
-    #: thread/process fan-out is disabled for these plans) so every engine
-    #: mode reports identical counters.
+    #: process fan-out is disabled for these plans) so every engine mode
+    #: reports identical counters.
     index_order: Optional[Tuple[str, bool]] = None
 
     # ------------------------------------------------------------------ #
@@ -338,23 +338,20 @@ class QueryPlan:
         self,
         params: Sequence[Any] = (),
         stats: Optional[QueryStats] = None,
-        pool=None,
         process_executor=None,
         vectorized: bool = False,
         chunk_size: int = CHUNK_ROWS,
     ) -> ResultSet:
         """Run the plan and return the materialised result.
 
-        ``pool`` (a ``concurrent.futures`` executor) enables the optional
-        per-partition fan-out of the driving scan level over threads;
         ``process_executor`` (a
-        :class:`~repro.relalg.parallel.ProcessScanExecutor`) instead ships
-        the driving scan level's :class:`PlanSpec` to worker processes and
-        merges their filtered row chunks in partition order (plans the
-        executor cannot ship — see :attr:`PlanSpec.process_eligible` — fall
-        back to sequential execution).  ``None`` for both (the default)
-        executes sequentially with work accounting byte-identical to the
-        historical engine.
+        :class:`~repro.relalg.parallel.ProcessScanExecutor`) ships the
+        driving scan level's :class:`PlanSpec` to worker processes and merges
+        their filtered row chunks in partition order (plans the executor
+        cannot ship — see :attr:`PlanSpec.process_eligible` — fall back to
+        sequential execution).  ``None`` (the default) executes sequentially
+        through :meth:`_enumerate`; both report identical results and
+        :class:`QueryStats`.
 
         ``vectorized`` drives eligible plans (:attr:`vector_eligible`)
         batch-at-a-time over the driving table's columnar chunks of
@@ -402,18 +399,12 @@ class QueryPlan:
                 )
                 enumerated = True
         if not enumerated:
-            if pool is not None and self.parallel_partition_count() > 1:
-                rows = self._enumerate_parallel(
-                    ctx, pool, vectorized=use_vectorized, chunk_size=chunk_size
-                )
-            elif use_vectorized:
+            if use_vectorized:
                 chunks = self._vector_chunks(ctx, chunk_size)
                 rows = (
                     self._enumerate_vector_join(ctx, chunks) if batch_join
                     else self._enumerate(ctx, driving_chunks=chunks)
                 )
-            elif not self.partitioned:
-                rows = self._enumerate_single(ctx)
             else:
                 rows = self._enumerate(ctx)
 
@@ -504,157 +495,26 @@ class QueryPlan:
             )
         return described
 
-    def parallel_partition_count(self) -> int:
-        """Partitions the driving level can fan out over (0 = not parallelizable)."""
-        if not self.levels:
-            return 0
-        if self.index_order is not None:
-            # Index-order pushdown replaces the partition fan-out; keeping
-            # these plans sequential in every mode keeps the counters
-            # identical across thread/process/sequential execution.
-            return 0
-        first = self.levels[0]
-        if type(first.access) is not PartitionScan:
-            return 0
-        return first.table.n_partitions if first.table.n_partitions > 1 else 0
-
     # ------------------------------------------------------------------ #
 
-    def _enumerate_single(self, ctx: ExecContext) -> List[Tuple[Any, ...]]:
-        """The historical tight enumeration loop for unpartitioned plans.
-
-        Every bound table has exactly one partition, so there is no chunk
-        iteration and no per-partition attribution — the inner loops (and
-        their work accounting) are byte-identical to the pre-partitioning
-        engine, which keeps the hot path at its original speed.
-        """
-        levels = self.levels
-        depth = len(levels)
-        stats = ctx.stats
-        row: List[Any] = [None] * self.layout.width
-        out: List[Tuple[Any, ...]] = []
-        append = out.append
-
-        def recurse(index: int) -> None:
-            if index == depth:
-                append(tuple(row))
-                return
-            level = levels[index]
-            table = level.table
-            access = level.access
-            filters = level.filters
-            if type(access) is IndexProbe:
-                table_index = table.indexes.get(access.column)
-                if table_index is None:
-                    # Stale plan (index dropped directly on the table): scan
-                    # and re-apply the probe predicate as a filter.
-                    candidates: Any = table.partitions[0].scan()
-                    filters = filters + [access.fallback]
-                else:
-                    key = access.key(row, ctx)
-                    stats.index_lookups += 1
-                    if key is None or key != key:
-                        # `= NULL` is UNKNOWN and `= NaN` is false for every
-                        # row; the bucket lookup would wrongly hit when the
-                        # probe is the very NaN object stored in the index.
-                        candidates = ()
-                    else:
-                        stored_rows = table.partitions[0].rows
-                        candidates = [
-                            stored
-                            for position in table_index.parts[0].lookup(key)
-                            if (stored := stored_rows[position]) is not None
-                        ]
-            elif type(access) is RangeProbe:
-                if table.ordered_index_for(access.column) is None:
-                    # Stale plan (ordered index dropped): scan and re-apply
-                    # the consumed range conjuncts as plain filters.
-                    candidates = table.partitions[0].scan()
-                    filters = filters + access.fallbacks
-                else:
-                    lo = access.lo(row, ctx) if access.lo is not None else None
-                    hi = access.hi(row, ctx) if access.hi is not None else None
-                    if (access.lo is not None and lo is None) or (
-                        access.hi is not None and hi is None
-                    ):
-                        # A NULL bound makes the comparison UNKNOWN for
-                        # every row: the probe matches nothing.
-                        stats.range_probes += 1
-                        candidates = ()
-                    else:
-                        ranged = table.range_chunks(
-                            access.column, lo, access.lo_incl,
-                            hi, access.hi_incl,
-                        )
-                        if ranged is None:
-                            # Bound type class incomparable with the stored
-                            # column: the filtered scan reproduces the
-                            # reference engine's per-row comparison error.
-                            candidates = table.partitions[0].scan()
-                            filters = filters + access.fallbacks
-                        else:
-                            stats.range_probes += 1
-                            candidates = [
-                                stored
-                                for _pid, matched in ranged
-                                for stored in matched
-                            ]
-            elif type(access) is HashJoinBuild:
-                hash_table = ctx.hash_tables.get(index)
-                if hash_table is None:
-                    hash_table = _build_hash_table(table, access.col_index, stats)
-                    ctx.hash_tables[index] = hash_table
-                key = access.key(row, ctx)
-                stats.hash_probes += 1
-                candidates = (
-                    () if key is None or key != key
-                    else hash_table.get(key, ())
-                )
-            else:
-                candidates = table.partitions[0].scan()
-            offset, end = level.offset, level.end
-            next_index = index + 1
-            scanned = 0
-            if filters:
-                for candidate in candidates:
-                    scanned += 1
-                    row[offset:end] = candidate
-                    for predicate in filters:
-                        if not predicate(row, ctx):
-                            break
-                    else:
-                        recurse(next_index)
-            else:
-                for candidate in candidates:
-                    scanned += 1
-                    row[offset:end] = candidate
-                    recurse(next_index)
-            stats.rows_scanned += scanned
-
-        recurse(0)
-        # Every fully joined slot row passed all its predicates en route.
-        stats.rows_joined += len(out)
-        return out
-
     def _enumerate(
-        self,
-        ctx: ExecContext,
-        restrict_partition: Optional[int] = None,
-        driving_chunks=None,
+        self, ctx: ExecContext, driving_chunks=None
     ) -> List[Tuple[Any, ...]]:
         """Nested-loop/hash join over the planned levels; returns slot rows.
 
-        Partition-aware variant (at least one bound table is partitioned):
-        scans and probes iterate per-partition chunks and attribute scan work
-        to :attr:`QueryStats.partition_rows_scanned`.  ``restrict_partition``
-        limits the *first* level's scan to one partition (the thread fan-out
-        path enumerates each partition in its own worker and concatenates in
-        partition order).  ``driving_chunks`` — ``(pid, surviving rows,
-        scanned count)`` triples in partition order — replaces the first
-        level's scan entirely: the process-pool workers already scanned and
-        filtered the driving partitions, so this level only charges the
-        reported scan work (per partition, exactly as a local scan would)
-        and recurses into the inner levels per surviving row.
+        The one sequential enumeration loop, for every partition layout.
+        Scans and probes of a partitioned table iterate per-partition chunks
+        and attribute scan work to :attr:`QueryStats.partition_rows_scanned`;
+        a single-partition table takes the flat ``candidates`` loop with no
+        attribution, so unpartitioned plans keep the work accounting of the
+        pre-partitioning engine byte for byte.  ``driving_chunks`` —
+        ``(pid, surviving rows, scanned count)`` triples in partition order,
+        from :meth:`_vector_chunks` or the process-pool workers — replaces
+        the first level's scan entirely: the driving partitions are already
+        scanned and filtered, so that level only charges the reported scan
+        work (per partition, exactly as a local scan would) and recurses into
+        the inner levels per surviving row.  The driving loop runs outside
+        :func:`recurse`, which then never re-checks for it per outer row.
         """
         levels = self.levels
         depth = len(levels)
@@ -667,36 +527,6 @@ class QueryPlan:
         def recurse(index: int) -> None:
             if index == depth:
                 append(tuple(row))
-                return
-            if index == 0 and driving_chunks is not None:
-                level = levels[0]
-                offset, end = level.offset, level.end
-                total = 0
-                if depth == 1:
-                    # Single-level plan: each surviving driving row IS the
-                    # full slot row, so survivors append wholesale — the
-                    # splice/recurse cycle per row would rebuild the same
-                    # tuples one by one.
-                    extend = out.extend
-                    for pid, survivors, scanned in driving_chunks:
-                        extend(survivors)
-                        if scanned and pid is not None:
-                            pscan[pid] = pscan.get(pid, 0) + scanned
-                        total += scanned
-                    stats.rows_scanned += total
-                    return
-                for pid, survivors, scanned in driving_chunks:
-                    for candidate in survivors:
-                        row[offset:end] = candidate
-                        recurse(1)
-                    # ``pid is None`` marks a single-partition driving table
-                    # (vectorized chunks): its scan work is charged to the
-                    # flat counter only, exactly like the row-at-a-time
-                    # single-partition candidates path.
-                    if scanned and pid is not None:
-                        pscan[pid] = pscan.get(pid, 0) + scanned
-                    total += scanned
-                stats.rows_scanned += total
                 return
             level = levels[index]
             table = level.table
@@ -722,7 +552,9 @@ class QueryPlan:
                     key = access.key(row, ctx)
                     stats.index_lookups += 1
                     if key is None or key != key:
-                        # NULL/NaN probes match nothing (see _enumerate_single).
+                        # `= NULL` is UNKNOWN and `= NaN` is false for every
+                        # row; the bucket lookup would wrongly hit when the
+                        # probe is the very NaN object stored in the index.
                         candidates = ()
                     elif multi:
                         chunks = table.probe_chunks(access.column, key)
@@ -748,7 +580,8 @@ class QueryPlan:
                     if (access.lo is not None and lo is None) or (
                         access.hi is not None and hi is None
                     ):
-                        # NULL bounds match nothing (see _enumerate_single).
+                        # A NULL bound makes the comparison UNKNOWN for
+                        # every row: the probe matches nothing.
                         stats.range_probes += 1
                         candidates = ()
                     else:
@@ -787,16 +620,10 @@ class QueryPlan:
                     () if key is None or key != key
                     else hash_table.get(key, ())
                 )
+            elif multi:
+                chunks = table.scan_chunks()
             else:
-                if index == 0 and restrict_partition is not None:
-                    chunks = (
-                        (restrict_partition,
-                         table.partitions[restrict_partition].scan()),
-                    )
-                elif multi:
-                    chunks = table.scan_chunks()
-                else:
-                    candidates = table.partitions[0].scan()
+                candidates = table.partitions[0].scan()
             offset, end = level.offset, level.end
             next_index = index + 1
             if chunks is None:
@@ -839,7 +666,30 @@ class QueryPlan:
                 total += scanned
             stats.rows_scanned += total
 
-        recurse(0)
+        if driving_chunks is None:
+            recurse(0)
+        else:
+            level = levels[0]
+            offset, end = level.offset, level.end
+            extend = out.extend
+            total = 0
+            for pid, survivors, scanned in driving_chunks:
+                if depth == 1:
+                    # Each surviving driving row IS the full slot row, so
+                    # survivors append wholesale instead of being re-spliced
+                    # into `row` one by one.
+                    extend(survivors)
+                else:
+                    for candidate in survivors:
+                        row[offset:end] = candidate
+                        recurse(1)
+                # ``pid is None`` marks a single-partition driving table: its
+                # scan work is charged to the flat counter only, exactly like
+                # the row-at-a-time candidates path.
+                if scanned and pid is not None:
+                    pscan[pid] = pscan.get(pid, 0) + scanned
+                total += scanned
+            stats.rows_scanned += total
         # Every fully joined slot row passed all its predicates en route.
         stats.rows_joined += len(out)
         return out
@@ -947,9 +797,7 @@ class QueryPlan:
         stats.rows_joined += len(out)
         return out
 
-    def _vector_chunks(
-        self, ctx: ExecContext, chunk_size: int, only_pid: Optional[int] = None
-    ):
+    def _vector_chunks(self, ctx: ExecContext, chunk_size: int):
         """Vectorized driving scan: yield ``(pid, survivors, scanned)``.
 
         One triple per columnar chunk of the driving table, in partition
@@ -962,8 +810,7 @@ class QueryPlan:
         table = self.levels[0].table
         predicate = self.vector_filter
         multi = table.n_partitions > 1
-        pids = range(table.n_partitions) if only_pid is None else (only_pid,)
-        for pid in pids:
+        for pid in range(table.n_partitions):
             out_pid = pid if multi else None
             for block, cols in table.partitions[pid].column_chunks(chunk_size):
                 scanned = len(block)
@@ -1133,57 +980,6 @@ class QueryPlan:
                     values.append(state[i])
             result.append(tuple(values))
         return result
-
-    def _enumerate_parallel(
-        self, ctx: ExecContext, pool, vectorized: bool = False,
-        chunk_size: int = CHUNK_ROWS,
-    ) -> List[Tuple[Any, ...]]:
-        """Fan the driving scan level's partitions out over ``pool``.
-
-        Hash-join tables are built once, up front, so the workers share them
-        read-only (the sequential path builds them lazily on first probe;
-        the parallel path may therefore build a table a lazy run would have
-        skipped — the counters still record exactly the work performed).
-        Results are concatenated in partition order, so the row order —
-        and hence every downstream result — is identical to the sequential
-        partition-major enumeration.  With ``vectorized`` each worker drives
-        its partition through the columnar chunk scan instead of the
-        row-at-a-time restriction.
-        """
-        for index, level in enumerate(self.levels):
-            if type(level.access) is HashJoinBuild and (
-                index not in ctx.hash_tables
-            ):
-                ctx.hash_tables[index] = _build_hash_table(
-                    level.table, level.access.col_index, ctx.stats
-                )
-
-        batch_join = vectorized and self.vector_join_key is not None
-
-        def run_partition(pid: int) -> Tuple[List[Tuple[Any, ...]], QueryStats]:
-            sub_stats = QueryStats()
-            sub_ctx = ExecContext(ctx.tables, ctx.params, sub_stats)
-            sub_ctx.hash_tables = ctx.hash_tables
-            if vectorized:
-                chunks = self._vector_chunks(sub_ctx, chunk_size, only_pid=pid)
-                rows = (
-                    self._enumerate_vector_join(sub_ctx, chunks) if batch_join
-                    else self._enumerate(sub_ctx, driving_chunks=chunks)
-                )
-            else:
-                rows = self._enumerate(sub_ctx, restrict_partition=pid)
-            return rows, sub_stats
-
-        futures = [
-            pool.submit(run_partition, pid)
-            for pid in range(self.parallel_partition_count())
-        ]
-        out: List[Tuple[Any, ...]] = []
-        for future in futures:
-            rows, sub_stats = future.result()
-            out.extend(rows)
-            ctx.stats.merge(sub_stats)
-        return out
 
     def _aggregate(
         self, rows: List[Tuple[Any, ...]], ctx: ExecContext
@@ -1379,11 +1175,15 @@ def lower_plan(plan: QueryPlan) -> PlanSpec:
                 filter_asts=tuple(level.filter_exprs),
             )
         )
+    first = plan.levels[0] if plan.levels else None
     eligible = (
-        plan.parallel_partition_count() > 1
-        and not any(
-            expr_has_subquery(expr) for expr in plan.levels[0].filter_exprs
-        )
+        first is not None
+        # Index-order pushdown replaces the partition fan-out; keeping these
+        # plans sequential keeps their counters identical in every mode.
+        and plan.index_order is None
+        and type(first.access) is PartitionScan
+        and first.table.n_partitions > 1
+        and not any(expr_has_subquery(expr) for expr in first.filter_exprs)
     )
     return PlanSpec(
         bindings=bindings,

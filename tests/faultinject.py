@@ -272,10 +272,14 @@ class RecordingExecutor:
         if self.progress_path is not None:
             # By the time execute returned, the statement's WAL record was
             # fsynced, so advertising the boundary as durable is truthful.
-            with open(self.progress_path, "w", encoding="utf-8") as handle:
+            # Write-then-rename: a kill can never leave the parent reading a
+            # truncated, empty progress file.
+            staging = self.progress_path + ".tmp"
+            with open(staging, "w", encoding="utf-8") as handle:
                 handle.write(str(self.boundary))
                 handle.flush()
                 os.fsync(handle.fileno())
+            os.replace(staging, self.progress_path)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@ and the range-predicate correctness sweep.
 
 Every test pins the same contract the differential fuzzers sweep at random:
 an ordered index is an access-path accelerator, never a semantics change —
-rows are byte-identical with the index on or off, across all five engine
+rows are byte-identical with the index on or off, across all four engine
 modes, through ROLLBACK, checkpoint restore and WAL replay.  Only the
 physical-work counters (``range_probes``, ``rows_scanned``) may differ from
 the scan-everything reference, and those are asserted exactly.
@@ -214,14 +214,13 @@ class TestIndexOrderPushdown:
         assert plan_select(parse_sql(sql), indexed.tables).index_order is None
 
 
-class TestFiveModeParity:
+class TestFourModeParity:
     def _everywhere(self, process_pool, sql, params=()):
         rows = _rows()
         databases = {
             "interp": _fill(Database(engine="interpreted"), rows),
             "rowwise": _fill(Database(n_partitions=1, vectorized=False), rows),
             "vector": _fill(Database(n_partitions=1), rows),
-            "thread": _fill(Database(n_partitions=1, parallel=2), rows),
             "process": _fill(Database(n_partitions=1, executor=process_pool), rows),
         }
         results = {name: db.query(sql, params) for name, db in databases.items()}

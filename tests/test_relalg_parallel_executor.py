@@ -244,9 +244,7 @@ class TestProcessExecutorEquivalence:
 
 class TestWorkerRobustness:
     def _fresh(self) -> Database:
-        return _populate(
-            Database(n_partitions=4, parallel=2, executor="process")
-        )
+        return _populate(Database(n_partitions=4, parallel=2))
 
     def test_killed_worker_raises_typed_error_then_pool_rebuilds(self):
         with self._fresh() as db:
@@ -284,8 +282,7 @@ class TestWorkerRobustness:
     def test_close_is_idempotent_across_all_executors(self, process_pool):
         databases = [
             Database(n_partitions=4),
-            Database(n_partitions=4, parallel=2, executor="thread"),
-            Database(n_partitions=4, parallel=2, executor="process"),
+            Database(n_partitions=4, parallel=2),
             Database(n_partitions=4, executor=process_pool),
         ]
         for db in databases:
@@ -315,8 +312,8 @@ class TestWorkerRobustness:
         assert pool.running
         db.close()
         assert not pool.running
-        # Mirroring the thread pool, a closed owned executor is recreated on
-        # the next parallel statement.
+        # A closed owned executor is recreated on the next parallel
+        # statement.
         assert db.query("SELECT COUNT(*) FROM m WHERE x > ?", [0.0]).scalar() == 119
         db.close()
 
@@ -374,19 +371,27 @@ class TestWorkerRobustness:
 
 
 class TestExecutorSelection:
-    def test_default_is_sequential(self):
+    def test_default_is_sequential(self, process_pool):
         assert Database().executor == "sequential"
-        assert Database(parallel=2).executor == "thread"  # historical meaning
+        assert Database(parallel=2).executor == "process"
+        assert Database(executor=process_pool).executor == "process"
+
+    def test_executor_strings_are_rejected(self):
+        # The executor kind is derived from `parallel`; `executor=` only
+        # borrows a shared pool, so every string is rejected.
+        for name in ("thread", "process", "sequential", "fibers"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                Database(executor=name)
+        with pytest.raises(ValueError, match="unknown executor"):
+            Database(parallel=2, executor="process")
+
+    def test_parallel_conflicts_with_a_shared_executor(self, process_pool):
+        # Regression: both were accepted, `db.parallel` reported 4 and the
+        # statements ran on the shared pool's 2 workers.
+        with pytest.raises(ValueError, match="conflicts"):
+            Database(parallel=4, executor=process_pool)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            Database(executor="fibers")
-        with pytest.raises(ValueError, match="parallel"):
-            Database(executor="process")
-        with pytest.raises(ValueError, match="parallel"):
-            Database(executor="thread")
-        with pytest.raises(ValueError, match="sequential"):
-            Database(parallel=2, executor="sequential")
         with pytest.raises(ValueError, match="workers"):
             ProcessScanExecutor(workers=0)
         with pytest.raises(ValueError, match="timeout"):
@@ -398,16 +403,17 @@ class TestExecutorSelection:
         # execution); it mirrors Database's validation instead.
         with pytest.raises(ValueError, match="parallelism"):
             backend("oracle7", executor="process")
-        with pytest.raises(ValueError, match="parallelism"):
-            backend("oracle7", executor="thread")
+        with pytest.raises(ValueError, match="unknown executor"):
+            backend("oracle7", parallelism=2, executor="thread")
 
-    def test_thread_executor_still_matches_sequential(self):
+    def test_parallel_k_fans_out_over_an_owned_process_pool(self):
         sequential = _sequential()
-        with _populate(
-            Database(n_partitions=5, parallel=3, executor="thread")
-        ) as db:
+        with _populate(Database(n_partitions=5, parallel=3)) as db:
             sql, params = _QUERIES[0]
             expected = sequential.query(sql, params)
             got = db.query(sql, params)
             assert got.rows == expected.rows
             assert got.stats == expected.stats
+            pool = db._process_pool()
+            assert pool.workers == 3
+            assert pool.running

@@ -4,7 +4,7 @@ Covers the hash-partitioned :class:`~repro.relalg.storage.Table` (composite
 and absent partition keys, cross-partition batch atomicity, per-partition
 tombstone compaction), the maintained cardinality statistics (including
 staleness after DELETE-heavy workloads), partition-pruned index probes, the
-EXPLAIN surface, the thread-pool partition fan-out and the per-partition
+EXPLAIN surface, the process-pool partition fan-out and the per-partition
 virtual cost charging of the simulated backends.
 """
 
@@ -351,7 +351,7 @@ class TestParallelExecution:
         )
         return db
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("keyword", ["parallel", "process"])
     @pytest.mark.parametrize(
         "sql, params",
         [
@@ -364,9 +364,13 @@ class TestParallelExecution:
             ),
         ],
     )
-    def test_parallel_matches_sequential(self, sql, params, executor, process_pool):
+    def test_parallel_matches_sequential(
+        self, sql, params, keyword, process_pool
+    ):
+        # parallel=3 spreads 4 partitions unevenly over a pool the database
+        # owns; executor= lends it the shared pool instead.
         kwargs = (
-            {"parallel": 3} if executor == "thread"
+            {"parallel": 3} if keyword == "parallel"
             else {"executor": process_pool}
         )
         sequential = self._make()
