@@ -134,6 +134,8 @@ class DatabaseLoader:
         self.rows_inserted = 0
         #: (table, column tuple) → buffered parameter rows awaiting a flush.
         self._pending: Dict[Tuple[str, Tuple[str, ...]], List[List[Any]]] = {}
+        #: (table, row keys) → the keys the table's schema has, in row order.
+        self._columns: Dict[Tuple[str, Tuple[str, ...]], Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # schema creation
@@ -311,12 +313,22 @@ class DatabaseLoader:
     # ------------------------------------------------------------------ #
 
     def _insert(self, table: str, values: Dict[str, Any]) -> None:
-        """Insert one row, skipping columns the generated schema does not have."""
-        schema = self.mapping.schemas[table]
-        known = {c.name for c in schema.columns}
-        items = [(k, v) for k, v in values.items() if k in known]
-        columns = tuple(name for name, _ in items)
-        params = [value for _, value in items]
+        """Insert one row, skipping columns the generated schema does not have.
+
+        Which of the row's keys the schema has depends only on the table and
+        the keys, so the column tuple is worked out once per (table, keys)
+        shape and cached; each row then only gathers its values.
+        """
+        shape = (table, tuple(values))
+        columns = self._columns.get(shape)
+        if columns is None:
+            known = {c.name for c in self.mapping.schemas[table].columns}
+            columns = tuple(name for name in values if name in known)
+            self._columns[shape] = columns
+        if len(columns) == len(values):
+            params = list(values.values())
+        else:
+            params = [values[name] for name in columns]
         if self.batch_size is None:
             self.executor.execute(self._insert_sql(table, columns), params)
             self.rows_inserted += 1

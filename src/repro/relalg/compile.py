@@ -1206,6 +1206,11 @@ def compile_insert_binder(
     expression dispatch all happen once here, so ``executemany`` re-binds a
     cached closure per parameter row instead of re-walking the statement —
     the DML counterpart of the SELECT plan cache.
+
+    A statement whose values are all ``?`` placeholders binds without any
+    per-value closure: one arity check per parameter row, then each row is
+    a gather of parameters into their slots.  A parameter row too short for
+    the statement takes the closure path, which raises the usual error.
     """
     schema = table.schema
     width = len(schema.columns)
@@ -1234,4 +1239,26 @@ def compile_insert_binder(
                 rows.append(row)
         return rows
 
-    return bind
+    exprs = [expr for row_exprs in statement.rows for expr in row_exprs]
+    if not exprs or any(type(expr) is not Placeholder for expr in exprs):
+        return bind
+    needed = 1 + max(expr.index for expr in exprs)
+    #: Per VALUES row, the parameter index feeding each slot; ``-1`` reads
+    #: the ``None`` appended after the parameters (unmentioned columns).
+    sources: List[List[int]] = []
+    for row_exprs in statement.rows:
+        if positions is None:
+            sources.append([expr.index for expr in row_exprs])
+        else:
+            source = [-1] * width
+            for position, expr in zip(positions, row_exprs):
+                source[position] = expr.index
+            sources.append(source)
+
+    def bind_placeholders(params: Sequence[Any]) -> List[List[Any]]:
+        if len(params) < needed:
+            return bind(params)
+        padded = [*params, None]
+        return [[padded[i] for i in source] for source in sources]
+
+    return bind_placeholders

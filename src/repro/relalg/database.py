@@ -115,8 +115,8 @@ from repro.relalg.sqlparser import parse_sql
 from repro.relalg.storage import CHUNK_ROWS, Table, Transaction
 from repro.relalg.wal import (
     WriteAheadLog,
-    decode_row,
-    encode_row,
+    decode_rows,
+    encode_rows,
     restore_state,
     row_key,
     snapshot_state,
@@ -650,7 +650,7 @@ class Database:
 
     def _replay_dml(self, record: Dict[str, Any]) -> None:
         table = self.table(record["tb"])
-        rows = [decode_row(row) for row in record["rows"]]
+        rows = decode_rows(table.schema, record["rows"])
         if record["t"] == "ins":
             table.insert_many(rows)
             return
@@ -1099,7 +1099,7 @@ class Database:
                     "t": "ins",
                     "x": xid,
                     "tb": table.name,
-                    "rows": [encode_row(row) for row in rows],
+                    "rows": encode_rows(table.schema, rows),
                 },
                 "ins" if xid else "auto-ins",
                 sync=xid == 0,
@@ -1154,7 +1154,7 @@ class Database:
                     "t": "del",
                     "x": xid,
                     "tb": table.name,
-                    "rows": [encode_row(row) for row in collect],
+                    "rows": encode_rows(table.schema, collect),
                 },
                 "del" if xid else "auto-del",
                 sync=xid == 0,

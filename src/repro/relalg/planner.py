@@ -666,32 +666,38 @@ class QueryPlan:
                 total += scanned
             stats.rows_scanned += total
 
-        if driving_chunks is None:
-            recurse(0)
-        else:
-            level = levels[0]
-            offset, end = level.offset, level.end
-            extend = out.extend
-            total = 0
-            for pid, survivors, scanned in driving_chunks:
-                if depth == 1:
-                    # Each surviving driving row IS the full slot row, so
-                    # survivors append wholesale instead of being re-spliced
-                    # into `row` one by one.
-                    extend(survivors)
-                else:
-                    for candidate in survivors:
-                        row[offset:end] = candidate
-                        recurse(1)
-                # ``pid is None`` marks a single-partition driving table: its
-                # scan work is charged to the flat counter only, exactly like
-                # the row-at-a-time candidates path.
-                if scanned and pid is not None:
-                    pscan[pid] = pscan.get(pid, 0) + scanned
-                total += scanned
-            stats.rows_scanned += total
-        # Every fully joined slot row passed all its predicates en route.
-        stats.rows_joined += len(out)
+        try:
+            if driving_chunks is None:
+                recurse(0)
+            else:
+                level = levels[0]
+                offset, end = level.offset, level.end
+                extend = out.extend
+                total = 0
+                for pid, survivors, scanned in driving_chunks:
+                    if depth == 1:
+                        # Each surviving driving row IS the full slot row,
+                        # so survivors append wholesale instead of being
+                        # re-spliced into `row` one by one.
+                        extend(survivors)
+                    else:
+                        for candidate in survivors:
+                            row[offset:end] = candidate
+                            recurse(1)
+                    # ``pid is None`` marks a single-partition driving
+                    # table: its scan work is charged to the flat counter
+                    # only, exactly like the row-at-a-time candidates path.
+                    if scanned and pid is not None:
+                        pscan[pid] = pscan.get(pid, 0) + scanned
+                    total += scanned
+                stats.rows_scanned += total
+            # Every fully joined slot row passed all its predicates en route.
+            stats.rows_joined += len(out)
+        finally:
+            # ``recurse`` refers to itself through its closure cell; unbind
+            # it so the context, stats and row buffer it holds are freed
+            # now instead of by the cyclic garbage collector.
+            del recurse
         return out
 
     def _enumerate_index_order(

@@ -99,6 +99,17 @@ class ColumnType(enum.Enum):
         raise AssertionError(f"unhandled column type {self}")
 
 
+#: The one Python type each column type stores; a value of exactly this type
+#: is returned unchanged by :meth:`ColumnType.validate`.
+_STORAGE_TYPES = {
+    ColumnType.INTEGER: int,
+    ColumnType.FLOAT: float,
+    ColumnType.VARCHAR: str,
+    ColumnType.BOOLEAN: bool,
+    ColumnType.TIMESTAMP: _dt.datetime,
+}
+
+
 @dataclass(frozen=True)
 class Column:
     """One column of a table."""
@@ -133,6 +144,13 @@ class TableSchema:
                 f"table {self.name!r} declares duplicate column(s) "
                 f"{sorted(duplicates)}"
             )
+        #: Per-column storage types, for :meth:`validate_row`'s fast path.
+        self._row_types = tuple(_STORAGE_TYPES[c.type] for c in self.columns)
+        #: Whether any column stores datetimes, which the WAL codec must tag;
+        #: rows of every other table are JSON-native as they stand.
+        self.has_timestamp = any(
+            c.type is ColumnType.TIMESTAMP for c in self.columns
+        )
 
     # -- lookup ----------------------------------------------------------------
 
@@ -164,7 +182,18 @@ class TableSchema:
     # -- rows -------------------------------------------------------------------
 
     def validate_row(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """Validate one positional row against the schema and coerce values."""
+        """Validate one positional row against the schema and coerce values.
+
+        A row whose every value already has its column's exact storage type
+        (``int`` for INTEGER, ``float`` for FLOAT, ``str``, ``bool``,
+        ``datetime``) needs no coercion and cannot be NULL, so one tuple
+        comparison accepts it as is.  Any other row — a NULL, a value to
+        coerce (``5`` into FLOAT, ``3.0`` into INTEGER), a wrong arity or a
+        bad value — takes the per-column loop, whose results and error texts
+        are the reference.
+        """
+        if tuple(map(type, values)) == self._row_types:
+            return tuple(values)
         if len(values) != len(self.columns):
             raise SchemaError(
                 f"table {self.name!r} has {len(self.columns)} columns but the "

@@ -949,31 +949,41 @@ class Table:
         ``collect``, when given, receives the deleted row images in deletion
         order (partition-major, position order) — the write-ahead log records
         them for deterministic replay.
+
+        The predicate sees the table as it was before the statement: it is
+        evaluated over every partition first, and only then are the matched
+        rows tombstoned, so a WHERE clause that reads this same table (``x =
+        (SELECT MAX(x) FROM t)``) is not changed by the deletions it causes.
         """
         column_indexes = self._index_column_map()
         txn = self.txn
+        matched = [
+            [
+                position
+                for position, row in enumerate(partition.rows)
+                if row is not None and predicate(row)
+            ]
+            for partition in self.partitions
+        ]
         deleted = 0
-        for pid, partition in enumerate(self.partitions):
-            partition_deleted = 0
-            for position, row in enumerate(partition.rows):
-                if row is None:
-                    continue
-                if predicate(row):
-                    partition.rows[position] = None
-                    partition.live_count -= 1
-                    for index in self.indexes.values():
-                        index.parts[pid].remove(row[index.column_index], position)
-                    if txn is not None:
-                        txn.note_delete(self, pid, position, row)
-                    if collect is not None:
-                        collect.append(row)
-                    partition_deleted += 1
-            if partition_deleted:
+        for pid, positions in enumerate(matched):
+            partition = self.partitions[pid]
+            for position in positions:
+                row = partition.rows[position]
+                partition.rows[position] = None
+                partition.live_count -= 1
+                for index in self.indexes.values():
+                    index.parts[pid].remove(row[index.column_index], position)
+                if txn is not None:
+                    txn.note_delete(self, pid, position, row)
+                if collect is not None:
+                    collect.append(row)
+            if positions:
                 partition.invalidate_chunks()
                 if txn is None:
                     partition.version += 1
                     partition.maybe_compact(column_indexes)
-            deleted += partition_deleted
+            deleted += len(positions)
         self.mutations += deleted
         return deleted
 

@@ -9,9 +9,10 @@ the stream is strictly serial):
 * ``{"t": "begin", "x": N}`` / ``{"t": "commit", "x": N}`` /
   ``{"t": "abort", "x": N}`` — explicit-transaction markers.
 * ``{"t": "ins"|"del", "x": N, "tb": name, "rows": [...]}`` — logical
-  row-images of one DML statement (validated inserts / deleted rows in
-  deletion order).  ``x = 0`` marks an autocommit statement — an implicit
-  single-statement transaction, durable once its own line is fsynced.
+  row-images of one DML statement (inserted rows as bound, validated again
+  on replay / deleted rows in deletion order).  ``x = 0`` marks an
+  autocommit statement — an implicit single-statement transaction, durable
+  once its own line is fsynced.
 * ``{"t": "create_table" | "create_index" | "drop_table", ...}`` — DDL
   (always autocommit; DDL inside a transaction is refused upstream).
 
@@ -35,6 +36,12 @@ that generation.  A crash between the rename and the truncate leaves a log
 one generation behind its checkpoint; recovery recognises the stale log and
 discards it (its contents are inside the checkpoint).
 
+**Row images** go through the value codec (:func:`encode_row` /
+:func:`decode_row`) only for tables with a TIMESTAMP column; every other
+table's rows are JSON-native as they stand and are logged, checkpointed,
+replayed and restored without a per-row codec pass.  The schema decides,
+once per table; the bytes on disk are the same either way.
+
 **Fault-injection seam**: every write-path step — each line append, each
 fsync, and each checkpoint file operation — reports to an optional ``hook``
 callable *after* the step completes, with a label and a running event
@@ -57,7 +64,9 @@ from repro.relalg.errors import RecoveryError
 __all__ = [
     "WriteAheadLog",
     "decode_row",
+    "decode_rows",
     "encode_row",
+    "encode_rows",
     "fingerprint_hash",
     "restore_state",
     "row_key",
@@ -93,13 +102,34 @@ def _decode_value(value: Any) -> Any:
 
 
 def encode_row(row: Any) -> List[Any]:
-    """Encode one row (any sequence of storage scalars) for the log."""
+    """Encode one row (any sequence of storage scalars) for the log.
+
+    Only datetimes change, so the log writer bypasses the codec for tables
+    without a TIMESTAMP column (:func:`encode_rows`): such a row holds only
+    values that passed an INTEGER, FLOAT, VARCHAR or BOOLEAN check, which
+    this function returns unchanged, and ``json`` writes a tuple exactly
+    like a list, so the bytes are the same.
+    """
     return [_encode_value(value) for value in row]
 
 
 def decode_row(row: List[Any]) -> Tuple[Any, ...]:
     """Decode one logged row back to the storage tuple."""
     return tuple(_decode_value(value) for value in row)
+
+
+def encode_rows(schema, rows: List[Any]) -> List[Any]:
+    """One table's row images for a log record (as is unless TIMESTAMP)."""
+    if not schema.has_timestamp:
+        return rows
+    return [encode_row(row) for row in rows]
+
+
+def decode_rows(schema, rows: List[Any]) -> List[Any]:
+    """A log record's row images back to values (as is unless TIMESTAMP)."""
+    if not schema.has_timestamp:
+        return rows
+    return [decode_row(row) for row in rows]
 
 
 def row_key(row: Tuple[Any, ...]) -> Tuple[Tuple[str, str], ...]:
@@ -297,6 +327,8 @@ def snapshot_state(database, generation: int) -> Dict[str, Any]:
                         None if row is None else encode_row(row)
                         for row in partition.rows
                     ]
+                    if table.schema.has_timestamp
+                    else list(partition.rows)
                     for partition in table.partitions
                 ],
             }
@@ -336,10 +368,11 @@ def restore_state(database, payload: Dict[str, Any]) -> None:
             index_name, column = entry[0], entry[1]
             ordered = entry[2] if len(entry) > 2 else False
             table.create_index(index_name, column, ordered=ordered)
+        decode = decode_row if schema.has_timestamp else tuple
         for pid, raw_rows in enumerate(spec["partitions"]):
             partition = table.partitions[pid]
             partition.rows = [
-                None if row is None else decode_row(row) for row in raw_rows
+                None if row is None else decode(row) for row in raw_rows
             ]
             partition.live_count = sum(
                 1 for row in partition.rows if row is not None

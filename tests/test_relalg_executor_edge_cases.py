@@ -1,8 +1,11 @@
 """Additional executor edge cases: ordering, NULLs, joins, result shapes."""
 
+import gc
+
 import pytest
 
 from repro.relalg import Database, ExecutionError
+from repro.relalg.compile import ExecContext
 from repro.relalg.executor import QueryStats
 
 
@@ -290,3 +293,33 @@ class TestScalarSubqueryStatsMerging:
         compiled = db.query(sql)
         interpreted = InterpretedSelectExecutor(db.tables).execute(parse_sql(sql))
         assert compiled.stats == interpreted.stats
+
+
+class TestExecutionLeavesNoCycles:
+    """A finished execution is freed by reference counting alone."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 4])
+    def test_no_exec_context_survives_with_gc_disabled(self, n_partitions):
+        with Database(n_partitions=n_partitions) as database:
+            database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER)")
+            database.executemany(
+                "INSERT INTO t (id, g) VALUES (?, ?)", [(i, i % 3) for i in range(30)]
+            )
+            queries = [
+                ("SELECT a.id FROM t a, t b WHERE a.id = b.g AND a.id > ?", (0,)),
+                ("SELECT id FROM t WHERE g = (SELECT MAX(g) FROM t)", ()),
+                ("SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g", ()),
+                ("SELECT id FROM t WHERE id = ?", (7,)),
+            ]
+            for sql, params in queries:  # plan once, so only executions remain
+                database.query(sql, params)
+            gc.collect()
+            gc.disable()
+            try:
+                for sql, params in queries:
+                    database.query(sql, params)
+                database.execute("DELETE FROM t WHERE g = (SELECT MIN(g) FROM t)")
+                leaked = sum(isinstance(o, ExecContext) for o in gc.get_objects())
+            finally:
+                gc.enable()
+            assert leaked == 0
