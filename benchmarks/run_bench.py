@@ -30,14 +30,6 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   workload swept over pipeline depths 1–32, the pipelined pushdown analysis
   at depth 8, and byte-identical depth-1 parity checks against the serial
   clock (E2 fetch loop, A1-style analysis, E6 bulk load).
-* **E9** — *wall-clock* (not virtual) partition execution: the scan-heavy
-  E3-style filtered-aggregate workload on an 8-partition table, measured
-  sequentially and on the shared-nothing process executor at 1/2/4
-  workers, next to the virtual makespan
-  prediction.  Results are consistency-checked to be byte-identical to the
-  sequential engine; the recorded ``cpu_count`` qualifies how much of the
-  virtual prediction the hardware can realize (a single-core machine cannot
-  show multi-core speedups, however correct the executor).
 * **E10** — durability cost and recovery: the E6 bulk load measured on the
   wall clock with the write-ahead log off, on (fsync per autocommit batch)
   and on with size-triggered checkpointing, plus recovery-on-open time
@@ -45,6 +37,10 @@ performance trajectory of the relational substrate is tracked from PR to PR:
   load and every recovery is consistency-checked byte-identical (state
   fingerprint: rows, tombstones, index buckets, statistics) to the pure
   in-memory load.
+* **E11 / E12 / E13** — wall-clock gaps of the vectorized scan, the batch
+  pipeline past the scan and the ordered range index over the scan-heavy
+  E9 workload (an E3-style filtered-aggregate workload on an 8-partition
+  table), each consistency-checked byte-identical to its reference path.
 
 Usage::
 
@@ -59,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -86,6 +83,34 @@ def _wall(fn, repeats: int) -> float:
         times.append(time.perf_counter() - start)
     times.sort()
     return times[len(times) // 2]
+
+
+def paired_speedup(baseline, accelerated, rounds: int = 30) -> float:
+    """Median over ``rounds`` of the per-round wall-time ratio
+    ``baseline() / accelerated()`` (above 1: ``accelerated`` is faster).
+
+    Each round times the two zero-argument callables back to back,
+    alternating which one runs first, so a slow phase of a noisy machine
+    lands on both sides of a round and neither side always profits from
+    running second on warm caches; the median discards the rounds a burst of
+    background load distorted.  The wall-clock gates read this instead of
+    comparing two minima taken in separate time windows.
+    """
+    def timed(fn) -> float:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    ratios = []
+    for round_no in range(rounds):
+        if round_no % 2 == 0:
+            base = timed(baseline)
+            accel = timed(accelerated)
+        else:
+            accel = timed(accelerated)
+            base = timed(baseline)
+        ratios.append(base / accel)
+    return statistics.median(ratios)
 
 
 def _summary_fingerprint(database) -> dict:
@@ -502,10 +527,9 @@ def bench_e8(scenario, failures: list) -> dict:
     }
 
 
-#: The E9 scan-heavy workload: E3-style filtered aggregates over simulated
-#: per-region/per-PE timing samples.  Thresholds keep the filters selective,
-#: so the parallelizable per-row filter work dominates and the surviving rows
-#: shipped between processes stay small.
+#: The E9 scan-heavy workload E11–E13 share: E3-style filtered aggregates over
+#: simulated per-region/per-PE timing samples.  Thresholds keep the filters
+#: selective, so the per-row filter work dominates.
 _E9_ROWS = 48_000
 _E9_PARTITIONS = 8
 _E9_QUERIES = [
@@ -547,88 +571,6 @@ def _e9_database(**kwargs):
         _e9_sample_rows(),
     )
     return database
-
-
-def _e9_run(database):
-    return [database.query(sql, params).rows for sql, params in _E9_QUERIES]
-
-
-def bench_e9(repeats: int, failures: list) -> dict:
-    """Wall-clock process-parallel partition execution (8 partitions).
-
-    Unlike every other scenario this measures the *real* clock: the virtual
-    model charges partition scans as a per-partition makespan, and the
-    process executor is the path whose wall clock can actually track that
-    prediction — bounded by the machine's core count, which is recorded so a
-    single-core run is read as what it is.
-    """
-    import os
-
-    from repro.relalg import Database, ProcessScanExecutor, backend as make_backend
-
-    sequential = _e9_database()
-    reference = _e9_run(sequential)
-    sequential_wall = _wall(lambda: _e9_run(sequential), repeats)
-
-    report: dict = {
-        "rows": _E9_ROWS,
-        "partitions": _E9_PARTITIONS,
-        "statements": len(_E9_QUERIES),
-        "cpu_count": os.cpu_count(),
-        "sequential_wall_s": round(sequential_wall, 6),
-        "process": {},
-    }
-
-    for workers in (1, 2, 4):
-        with ProcessScanExecutor(workers=workers) as pool, \
-                _e9_database(executor=pool) as parallel:
-            if _e9_run(parallel) != reference:
-                failures.append(
-                    f"E9: process executor ({workers} workers) diverges "
-                    f"from sequential"
-                )
-            wall = _wall(lambda: _e9_run(parallel), repeats)
-        report["process"][str(workers)] = {
-            "wall_s": round(wall, 6),
-            "speedup": round(sequential_wall / wall, 3),
-        }
-
-    # The virtual prediction: the same statements through the cost model at
-    # 1 vs. 4 virtual scan workers (per-partition makespan charging).
-    virtual = {}
-    for parallelism in (1, 4):
-        simulated = make_backend(
-            "oracle7",
-            n_partitions=_E9_PARTITIONS,
-            parallelism=parallelism,
-            executor="sequential",
-        )
-        simulated.execute(
-            "CREATE TABLE samples (id INTEGER PRIMARY KEY, region INTEGER, "
-            "pe INTEGER, incl FLOAT, excl FLOAT)"
-        )
-        simulated.executemany(
-            "INSERT INTO samples (id, region, pe, incl, excl) "
-            "VALUES (?, ?, ?, ?, ?)",
-            _e9_sample_rows(),
-        )
-        simulated.reset_clock()
-        for sql, params in _E9_QUERIES:
-            simulated.query(sql, params)
-        virtual[parallelism] = simulated.elapsed
-    report["virtual_1worker_s"] = round(virtual[1], 6)
-    report["virtual_4worker_s"] = round(virtual[4], 6)
-    report["virtual_predicted_speedup"] = round(virtual[1] / virtual[4], 3)
-
-    process4 = report["process"]["4"]["speedup"]
-    report["meets_local_target"] = process4 >= 1.5
-    cpus = report["cpu_count"] or 1
-    if cpus >= 4 and process4 < 1.2:
-        failures.append(
-            f"E9: process executor speedup is {process4}x on a {cpus}-core "
-            f"machine (expected >= 1.2x)"
-        )
-    return report
 
 
 def bench_e10(scenario, repeats: int, failures: list) -> dict:
@@ -1082,7 +1024,6 @@ def main(argv=None) -> int:
                 medium, args.repeats, failures
             ),
             "E8_overlap": bench_e8(medium, failures),
-            "E9_wallclock": bench_e9(args.repeats, failures),
             "E10_durability": bench_e10(medium, args.repeats, failures),
             "E11_columnar": bench_e11(args.repeats, failures),
             "E12_vector_agg": bench_e12(args.repeats, failures),
@@ -1121,13 +1062,6 @@ def main(argv=None) -> int:
     print(f"E8  overlap speedup at depth 8: fetch "
           f"{e8['fetch_speedup_depth8']}x, scan {e8['scan_speedup_depth8']}x, "
           f"analysis {e8['analysis_speedup_depth8']}x; depth-1 parity: {parity}")
-    e9 = report["scenarios"]["E9_wallclock"]
-    print(f"E9  wall-clock at 8 partitions ({e9['cpu_count']} cpu): "
-          f"process "
-          + ", ".join(
-              f"x{w} {entry['speedup']}x" for w, entry in e9["process"].items()
-          )
-          + f"; virtual prediction {e9['virtual_predicted_speedup']}x")
     e10 = report["scenarios"]["E10_durability"]
     print(f"E10 WAL overhead on the E6 load: {e10['wal_overhead']}x "
           f"(with checkpoints {e10['checkpoint_overhead']}x); recovery "

@@ -87,16 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="virtual scan workers of the pushdown backend (partition "
-        "scans are charged as a makespan over this many workers)",
-    )
-    parser.add_argument(
-        "--db-executor",
-        choices=("sequential", "process"),
-        default=None,
-        help="how the engine realizes --db-parallelism on real hardware: "
-        "'sequential' (the default; virtual-only parallelism) or 'process' "
-        "(shared-nothing worker processes — the wall clock can track the "
-        "virtual makespan)",
+        "scans are charged as a makespan over this many workers; virtual "
+        "only — the engine always executes in-process)",
     )
     parser.add_argument(
         "--pipeline-depth",
@@ -151,10 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--pipeline-depth must be >= 1")
     if args.pipeline_depth > 1 and args.strategy != "pushdown":
         parser.error("--pipeline-depth requires --strategy pushdown")
-    if args.db_executor == "process" and args.db_parallelism < 2:
-        parser.error(
-            f"--db-executor {args.db_executor} requires --db-parallelism >= 2"
-        )
 
     specification = cosy_specification()
 
@@ -185,7 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.db_backend,
                 n_partitions=args.db_partitions,
                 parallelism=args.db_parallelism,
-                executor=args.db_executor,
             )
         )
         try:
@@ -207,7 +194,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 strategy = PushdownStrategy(specification, mapping, client, ids)
             result = analyzer.analyze(pes=args.analyze_pes, strategy=strategy)
         finally:
-            # Release the engine's fan-out pool (worker processes).
             client.close()
     else:
         strategy = ClientSideStrategy(specification)

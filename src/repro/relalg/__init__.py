@@ -50,7 +50,6 @@ from repro.relalg.client import (
     PendingResult,
 )
 from repro.relalg.database import Database, ExecutionSummary
-from repro.relalg.parallel import ProcessScanExecutor
 from repro.relalg.errors import (
     ExecutionError,
     IntegrityError,
@@ -67,11 +66,8 @@ from repro.relalg.planner import (
     AccessPath,
     HashJoinBuild,
     IndexProbe,
-    LevelSpec,
     PartitionScan,
-    PlanSpec,
     QueryPlan,
-    lower_plan,
     plan_select,
 )
 from repro.relalg.schema import Column, ColumnType, TableSchema
@@ -81,7 +77,6 @@ from repro.relalg.semantics import (
     analyze_select,
     check_delete,
     check_select,
-    proves_integer,
 )
 from repro.relalg.sqlparser import SqlParser, parse_sql, tokenize_sql
 from repro.relalg.compile import compile_batch_predicate
@@ -125,16 +120,13 @@ __all__ = [
     "IndexProbe",
     "IntegrityError",
     "InterpretedSelectExecutor",
-    "LevelSpec",
     "NativeClient",
     "Partition",
     "PartitionScan",
     "PendingResult",
     "PipelineSlot",
     "PipelinedTimeline",
-    "PlanSpec",
     "PositionsView",
-    "ProcessScanExecutor",
     "QueryPlan",
     "QueryStats",
     "RecoveryError",
@@ -163,10 +155,8 @@ __all__ = [
     "check_select",
     "compile_batch_predicate",
     "fingerprint_hash",
-    "lower_plan",
     "parse_sql",
     "plan_select",
-    "proves_integer",
     "restore_state",
     "snapshot_state",
     "stable_hash",

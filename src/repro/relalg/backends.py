@@ -473,7 +473,6 @@ class SimulatedBackend:
         batch_size: int = DEFAULT_BATCH_SIZE,
         n_partitions: int = 1,
         parallelism: int = 1,
-        executor: Optional[str] = None,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
     ) -> None:
@@ -486,30 +485,13 @@ class SimulatedBackend:
         #: Server-side scan workers of the virtual cost model: scan work is
         #: charged as the per-partition *makespan* over this many workers
         #: instead of the serial sum.  ``1`` (the default) is the historical
-        #: serial charging, byte-for-byte.
+        #: serial charging, byte-for-byte.  The parallelism is virtual only:
+        #: the engine itself always executes in-process.
         self.parallelism = parallelism
-        # ``executor="process"`` realizes the modeled parallelism on a
-        # worker-process pool; ``None`` or "sequential" keeps the virtual
-        # makespan charge without any OS-level fan-out.  The virtual charge
-        # is identical either way: the executor decides whether the *wall*
-        # clock tracks it.
-        if executor not in (None, "sequential", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r} "
-                f"(expected None, 'sequential' or 'process')"
-            )
-        if executor == "process" and parallelism < 2:
-            # Mirror Database's validation: silently ignoring the requested
-            # fan-out would make wall-clock comparisons measure the wrong
-            # executor.
-            raise ValueError(
-                f"executor={executor!r} requires parallelism >= 2 workers"
-            )
         self.database = database or Database(
             name=profile.name,
             engine=engine,
             n_partitions=n_partitions,
-            parallel=parallelism if executor == "process" else None,
             wal_path=wal_path,
             wal_autocheckpoint=wal_autocheckpoint,
         )
@@ -748,12 +730,8 @@ class SimulatedBackend:
         self.rows_fetched = 0
 
     def close(self) -> None:
-        """Release the engine's partition fan-out pool (idempotent).
-
-        Only relevant for backends created with ``executor="process"`` — the
-        underlying :class:`Database` lazily spawns worker processes that would
-        otherwise idle until process exit.
-        """
+        """Close the underlying :class:`Database` (idempotent): its
+        write-ahead log is closed and an open transaction rolled back."""
         self.database.close()
 
     def __enter__(self) -> "SimulatedBackend":
@@ -777,7 +755,6 @@ def backend(
     batch_size: int = DEFAULT_BATCH_SIZE,
     n_partitions: int = 1,
     parallelism: int = 1,
-    executor: Optional[str] = None,
     wal_path: Optional[str] = None,
     wal_autocheckpoint: Optional[int] = 4_000_000,
 ) -> SimulatedBackend:
@@ -789,11 +766,8 @@ def backend(
     virtual round trip.  ``n_partitions`` shards every table the backend's
     database creates (ignored when ``database`` is supplied), and
     ``parallelism`` sets the virtual server's scan workers: scan costs are
-    charged as the per-partition makespan over that many workers.
-    ``executor="process"`` realizes that parallelism on real hardware with
-    shared-nothing worker processes, so the wall clock can actually track
-    the virtual makespan; ``None`` (the default) or ``"sequential"`` keeps
-    the parallelism virtual-only, with no OS fan-out.  ``wal_path``
+    charged as the per-partition makespan over that many workers (virtual
+    only: the engine always executes in-process).  ``wal_path``
     attaches a write-ahead log to the backend's database (ignored when
     ``database`` is supplied), making its commits crash-durable;
     ``wal_autocheckpoint`` bounds that log.
@@ -811,7 +785,6 @@ def backend(
         batch_size=batch_size,
         n_partitions=n_partitions,
         parallelism=parallelism,
-        executor=executor,
         wal_path=wal_path,
         wal_autocheckpoint=wal_autocheckpoint,
     )

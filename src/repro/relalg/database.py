@@ -9,20 +9,12 @@ database client code even though everything runs in process.
 
 Every table the database creates is hash-partitioned by primary key into
 ``n_partitions`` shards (default 1: the historical single-partition layout,
-byte-for-byte).  Partitioned scans run one of two ways:
-
-* sequentially (the default) — partitions are enumerated in order on the
-  calling thread;
-* on a process pool — ``Database(parallel=k)`` fans the driving scan level
-  out over a shared-nothing, spawn-safe pool of ``k`` worker processes
-  (:class:`~repro.relalg.parallel.ProcessScanExecutor`) that the database
-  owns, each worker owning a disjoint subset of every table's shards;
-  ``Database(executor=pool)`` borrows an existing pool instead, so one pool
-  can serve many databases.  The two are exclusive.
-
-Both return identical results and identical :class:`QueryStats`; the
-database is a context manager (``with Database(...) as db:``) so worker
-pools cannot leak.
+byte-for-byte).  Every statement runs in-process on the calling thread:
+partitioned scans enumerate the shards in partition order and attribute
+their work per partition in :class:`QueryStats`, which the simulated
+backends turn into a virtual per-partition makespan.  The database is a
+context manager (``with Database(...) as db:``) whose exit closes the
+write-ahead log and rolls back an open transaction.
 
 Two statement-level caches, both keyed by SQL text, make repeated execution
 cheap (the COSY pushdown strategy re-runs the same compiled property queries
@@ -53,13 +45,10 @@ statements (or the :meth:`begin`/:meth:`commit`/:meth:`rollback` shortcuts)
 group DML into an atomic unit: while a transaction is open the session reads
 its own writes through the unchanged executor paths, every mutation pushes
 an undo record (:class:`~repro.relalg.storage.Transaction`), rollback
-restores rows, indexes, tombstones and statistics byte-for-byte, and the
-partition fan-out stays snapshot-consistent — partition versions advance
-only at commit, shard snapshots forwarded to worker processes contain only
-committed rows, and process fan-out falls back to the sequential scan while
-uncommitted DML is staged (so the local session still sees its writes).
-DDL inside a transaction and nested ``BEGIN`` are refused with a typed
-:class:`ExecutionError`.  ``Database(wal_path=...)`` adds crash durability
+restores rows, indexes, tombstones and statistics byte-for-byte, and
+vectorized scans fall back to row-at-a-time while uncommitted DML is
+staged.  DDL inside a transaction and nested ``BEGIN`` are refused with a
+typed :class:`ExecutionError`.  ``Database(wal_path=...)`` adds crash durability
 through the write-ahead log (:mod:`repro.relalg.wal`): row-image records per
 DML statement, fsync at every commit point, recovery-on-open that replays
 committed transactions and discards uncommitted tails, and a checkpoint/
@@ -89,7 +78,6 @@ from repro.relalg.errors import (
 )
 from repro.relalg.executor import QueryStats, ResultSet
 from repro.relalg.interp import InterpretedSelectExecutor
-from repro.relalg.parallel import ProcessScanExecutor
 from repro.relalg.rowset import merge_partition_counts
 from repro.relalg.planner import (
     QueryPlan,
@@ -170,8 +158,6 @@ class Database:
         name: str = "cosy",
         engine: str = "compiled",
         n_partitions: int = 1,
-        parallel: Optional[int] = None,
-        executor: Optional[ProcessScanExecutor] = None,
         wal_path: Optional[str] = None,
         wal_autocheckpoint: Optional[int] = 4_000_000,
         wal_hook=None,
@@ -186,18 +172,6 @@ class Database:
             raise ValueError(
                 f"n_partitions must be positive, got {n_partitions}"
             )
-        if parallel is not None:
-            # Typed: a bad worker count should fail the constructor with the
-            # engine's own error, not a bare TypeError from pool setup.
-            if type(parallel) is not int:
-                raise ExecutionError(
-                    f"parallel must be an int >= 2 (or None), "
-                    f"got {type(parallel).__name__}"
-                )
-            if parallel < 2:
-                raise ExecutionError(
-                    f"parallel must be >= 2 workers (or None), got {parallel}"
-                )
         if type(vectorized_chunk_size) is not int:
             # Typed: reject here instead of failing deep inside chunk
             # building (range() with a non-int chunk size).
@@ -210,42 +184,16 @@ class Database:
                 f"vectorized_chunk_size must be positive, "
                 f"got {vectorized_chunk_size}"
             )
-        if executor is not None and not isinstance(
-            executor, ProcessScanExecutor
-        ):
-            raise ValueError(
-                f"unknown executor {executor!r} (expected a shared "
-                f"ProcessScanExecutor; pass parallel=k for an owned pool)"
-            )
-        if executor is not None and parallel is not None:
-            # The shared pool has its own worker count; accepting both
-            # would report `parallel` workers and run on the pool's.
-            raise ValueError(
-                f"parallel={parallel} conflicts with the shared executor's "
-                f"{executor.workers} workers; pass one or the other"
-            )
         self.name = name
         self.engine = engine
         #: Default partition count of every table this database creates.
         self.n_partitions = n_partitions
-        #: Worker count of the owned process pool (None when sequential or
-        #: when a shared process executor was passed in).
-        self.parallel = parallel
-        #: Partition fan-out kind, derived: "process" with an owned or a
-        #: shared pool, otherwise "sequential".
-        self.executor = (
-            "sequential" if parallel is None and executor is None
-            else "process"
-        )
         #: Whether eligible plans drive their scans vectorized over columnar
         #: chunks (plan-time eligibility; row-at-a-time results and stats are
         #: preserved byte for byte).  ``False`` pins the row engine — the
         #: differential reference the fuzzers sweep against.
         self.vectorized = vectorized
         self.vectorized_chunk_size = vectorized_chunk_size
-        #: The process pool (owned and lazily created, or shared/borrowed).
-        self._process_executor = executor
-        self._owns_executor = parallel is not None
         self.tables: Dict[str, Table] = {}
         self.summary = ExecutionSummary()
         self._statement_cache: Dict[str, Statement] = {}
@@ -332,11 +280,6 @@ class Database:
         self._wal_log(
             {"t": "drop_table", "table": dropped.name}, "ddl", sync=True
         )
-        if self._process_executor is not None:
-            # Drop the worker-side shard replicas with the table, so a
-            # long-lived pool under DROP/CREATE churn does not accumulate
-            # dead generations (each generation has a fresh table uid).
-            self._process_executor.forget([dropped.uid])
 
     def table(self, name: str) -> Table:
         """Look up a table by name (case-insensitive)."""
@@ -932,11 +875,6 @@ class Database:
                 status = plan.vector_report.get(rung)
                 if status is not None:
                     lines.append(f"{indent}  {rung}: {status}")
-            if plan.partial_aggregate_spec is not None:
-                lines.append(
-                    f"{indent}  partial-aggregation: mergeable "
-                    f"(process workers fold shard-local group state)"
-                )
         lines.append(f"{indent}analysis:")
         if plan.analysis_report:
             for finding in plan.analysis_report:
@@ -946,25 +884,14 @@ class Database:
         return lines
 
     # ------------------------------------------------------------------ #
-    # process execution pool
+    # lifecycle
     # ------------------------------------------------------------------ #
 
-    def _process_pool(self) -> Optional[ProcessScanExecutor]:
-        """The process executor (lazily created when owned; None when
-        sequential, or after a borrowed executor was released by
-        :meth:`close`)."""
-        if self._process_executor is None and self._owns_executor:
-            self._process_executor = ProcessScanExecutor(workers=self.parallel)
-        return self._process_executor
-
     def close(self) -> None:
-        """Release the partition fan-out pool (idempotent).
+        """Close the write-ahead log, if any (idempotent).
 
-        An owned process executor is shut down; a shared one merely forgets
-        this database's shard replicas and keeps serving its other owners.
-        Closing is safe to repeat and safe on databases that never fanned
-        out; the context-manager protocol (``with Database(...) as db:``)
-        calls it on exit so pools cannot leak.
+        Closing is safe to repeat; the context-manager protocol
+        (``with Database(...) as db:``) calls it on exit.
 
         An open transaction is **rolled back** (with a
         :class:`TransactionWarning`), never silently committed: the in-memory
@@ -985,14 +912,6 @@ class Database:
         if self._wal is not None:
             wal, self._wal = self._wal, None
             wal.close()
-        if self._process_executor is not None:
-            executor, self._process_executor = self._process_executor, None
-            if self._owns_executor:
-                executor.shutdown()
-            else:
-                executor.forget(
-                    [table.uid for table in self.tables.values()]
-                )
 
     def __enter__(self) -> "Database":
         return self
@@ -1011,8 +930,7 @@ class Database:
         Columnar chunks are built from the live row lists, which include
         rows a transaction has merely staged; snapshot-correct chunk reads
         under staged DML would need per-statement rebuilds, so the engine
-        simply falls back to row-at-a-time until the transaction resolves —
-        the same conservative seam the process executor uses.
+        simply falls back to row-at-a-time until the transaction resolves.
         """
         return self.vectorized and (
             self._txn is None or not self._txn.staged
@@ -1029,16 +947,9 @@ class Database:
             result = executor.execute(statement)
         else:
             plan = self._plan_for(statement, sql)
-            process_executor = self._process_pool()
-            if self._txn is not None and self._txn.staged:
-                # Worker shards hold only committed partition versions, so a
-                # fan-out would hide this session's staged writes; scan
-                # sequentially until the transaction resolves.
-                process_executor = None
             result = plan.execute(
                 params,
                 QueryStats(),
-                process_executor=process_executor,
                 vectorized=self._vectorized_now(),
                 chunk_size=self.vectorized_chunk_size,
             )

@@ -35,9 +35,7 @@ key, see :mod:`repro.relalg.storage`):
    transient hash table and probed per outer row, replacing the
    interpreter's O(outer × inner) rescans.
 3. :class:`PartitionScan` — everything else; applicable conjuncts become
-   filters.  The scan iterates partitions morsel-style, and
-   :meth:`QueryPlan.execute` optionally ships the first (driving) level to
-   a :class:`~repro.relalg.parallel.ProcessScanExecutor` worker pool.
+   filters.  The scan iterates partitions morsel-style, in partition order.
 
 NULL join keys never match (both probe kinds), matching ``=`` semantics.
 
@@ -87,8 +85,7 @@ from repro.relalg.sqlast import (
     TableRef,
     UnaryOperation,
 )
-from repro.relalg.schema import ColumnType
-from repro.relalg.semantics import RangeInterval, analyze_select, proves_integer
+from repro.relalg.semantics import RangeInterval, analyze_select
 from repro.relalg.storage import (
     CHUNK_ROWS,
     OrderedHashIndex,
@@ -101,14 +98,11 @@ __all__ = [
     "AccessPath",
     "HashJoinBuild",
     "IndexProbe",
-    "LevelSpec",
     "PartitionScan",
-    "PlanSpec",
     "QueryPlan",
     "RangeProbe",
     "expr_has_subquery",
     "expr_table_deps",
-    "lower_plan",
     "plan_select",
     "statement_subselects",
     "statement_table_deps",
@@ -228,8 +222,8 @@ class _Level:
         self.filters = filters
         #: Estimated rows this level produces per outer row (plan-time).
         self.estimate = estimate
-        #: Source ASTs of ``filters`` — the plain-data form :func:`lower_plan`
-        #: lowers into a :class:`PlanSpec` (compiled closures do not pickle).
+        #: Source ASTs of ``filters``, batch-compiled for the vectorized
+        #: driving scan.
         self.filter_exprs = filter_exprs if filter_exprs is not None else []
         #: Source AST of the probe key expression (probe access paths only).
         self.key_ast = key_ast
@@ -266,9 +260,6 @@ class QueryPlan:
     #: Lowered names of every table this plan reads (bindings + subqueries);
     #: the per-table plan-cache invalidation in ``Database`` keys off these.
     table_deps: Set[str]
-    #: Whether any bound table has more than one partition; only such plans
-    #: are offered to the process-pool fan-out.
-    partitioned: bool
     #: Plans of the statement's scalar subqueries, snapshot at plan time
     #: (the same moment — and therefore the same statistics — as the
     #: subplans compiled into the expression closures), outermost first.
@@ -304,13 +295,6 @@ class QueryPlan:
     #: scan→hash-join plan, compiled over the driving binding's slot range.
     #: ``None`` when the plan shape or the key expression is ineligible.
     vector_join_key: Optional[Tuple[Any, ...]] = None
-    #: Provably-mergeable partial aggregation the process-pool workers can
-    #: fold shard-side: ``(group_by ASTs, item kind/AST pairs)`` — plain
-    #: picklable data, shipped inside the :class:`PlanSpec`.  ``None``
-    #: whenever merging partial states could diverge from the sequential
-    #: fold (float SUM/AVG reassociation, DISTINCT, HAVING, joins).
-    partial_aggregate_spec: Optional[Tuple[Tuple[SqlExpr, ...],
-                                           Tuple[Tuple[Any, ...], ...]]] = None
     #: Per-rung vectorization report for EXPLAIN: rung name → human-readable
     #: status ("vectorized…", "row-at-a-time (reason)", "n/a (reason)").
     vector_report: Dict[str, str] = field(default_factory=dict)
@@ -327,9 +311,8 @@ class QueryPlan:
     #: when the single sort key is an ordered-indexed column of a
     #: single-level scan plan — execution k-way merges the per-partition
     #: sorted runs and stops after ``limit + offset`` surviving rows,
-    #: instead of scanning everything and sorting.  Mode-independent (the
-    #: process fan-out is disabled for these plans) so every engine mode
-    #: reports identical counters.
+    #: instead of scanning everything and sorting.  Mode-independent, so
+    #: every engine mode reports identical counters.
     index_order: Optional[Tuple[str, bool]] = None
 
     # ------------------------------------------------------------------ #
@@ -338,20 +321,10 @@ class QueryPlan:
         self,
         params: Sequence[Any] = (),
         stats: Optional[QueryStats] = None,
-        process_executor=None,
         vectorized: bool = False,
         chunk_size: int = CHUNK_ROWS,
     ) -> ResultSet:
-        """Run the plan and return the materialised result.
-
-        ``process_executor`` (a
-        :class:`~repro.relalg.parallel.ProcessScanExecutor`) ships the
-        driving scan level's :class:`PlanSpec` to worker processes and merges
-        their filtered row chunks in partition order (plans the executor
-        cannot ship — see :attr:`PlanSpec.process_eligible` — fall back to
-        sequential execution).  ``None`` (the default) executes sequentially
-        through :meth:`_enumerate`; both report identical results and
-        :class:`QueryStats`.
+        """Run the plan in-process and return the materialised result.
 
         ``vectorized`` drives eligible plans (:attr:`vector_eligible`)
         batch-at-a-time over the driving table's columnar chunks of
@@ -363,9 +336,9 @@ class QueryPlan:
         stats = stats if stats is not None else QueryStats()
         ctx = ExecContext(self.tables, params, stats)
         use_vectorized = vectorized and self.vector_eligible
-        #: Batch hash-join probing rides any pre-filtered chunk stream (local
-        #: vectorized chunks or process-pool chunks); ``vectorized=False``
-        #: keeps the row-at-a-time probe as the differential reference.
+        #: Batch hash-join probing rides the vectorized driving chunk stream;
+        #: ``vectorized=False`` keeps the row-at-a-time probe as the
+        #: differential reference.
         batch_join = vectorized and self.vector_join_key is not None
         result_rows: Optional[List[Tuple[Any, ...]]] = None
         rows: List[Tuple[Any, ...]] = []
@@ -373,9 +346,9 @@ class QueryPlan:
         # empty and flows through the ordinary aggregation/projection
         # pipeline (ungrouped aggregates still emit their single row).
         enumerated = self.contradiction
-        # Index-order pushdown runs before any fan-out decision so every
-        # engine mode takes the same enumeration (and reports the same
-        # counters); it returns None to fall back (index dropped, NaNs).
+        # Index-order pushdown takes precedence in every engine mode (so
+        # all modes report the same counters); it returns None to fall
+        # back (index dropped, NaNs).
         index_ordered = False
         if not enumerated and self.index_order is not None:
             pushed = self._enumerate_index_order(ctx)
@@ -383,21 +356,6 @@ class QueryPlan:
                 rows = pushed
                 enumerated = True
                 index_ordered = True
-        if not enumerated and process_executor is not None and self.partitioned:
-            if vectorized and self.partial_aggregate_spec is not None:
-                partials = process_executor.aggregate_chunks(self, params)
-                if partials is not None:
-                    result_rows = self._merge_partial_aggregate(partials, ctx)
-                    enumerated = True
-            if not enumerated and (
-                (chunks := process_executor.scan_chunks(self, params))
-                is not None
-            ):
-                rows = (
-                    self._enumerate_vector_join(ctx, chunks) if batch_join
-                    else self._enumerate(ctx, driving_chunks=chunks)
-                )
-                enumerated = True
         if not enumerated:
             if use_vectorized:
                 chunks = self._vector_chunks(ctx, chunk_size)
@@ -408,9 +366,7 @@ class QueryPlan:
             else:
                 rows = self._enumerate(ctx)
 
-        if result_rows is not None:
-            pass  # process-pool partial aggregation already produced groups
-        elif self.item_group_fns is not None:
+        if self.item_group_fns is not None:
             if use_vectorized and self.vector_aggregate is not None:
                 result_rows = self.vector_aggregate(rows, ctx)
             if result_rows is None:
@@ -509,7 +465,7 @@ class QueryPlan:
         attribution, so unpartitioned plans keep the work accounting of the
         pre-partitioning engine byte for byte.  ``driving_chunks`` —
         ``(pid, surviving rows, scanned count)`` triples in partition order,
-        from :meth:`_vector_chunks` or the process-pool workers — replaces
+        from :meth:`_vector_chunks` — replaces
         the first level's scan entirely: the driving partitions are already
         scanned and filtered, so that level only charges the reported scan
         work (per partition, exactly as a local scan would) and recurses into
@@ -807,9 +763,9 @@ class QueryPlan:
         """Vectorized driving scan: yield ``(pid, survivors, scanned)``.
 
         One triple per columnar chunk of the driving table, in partition
-        order — the same shape the process-pool workers return, consumed by
-        the same ``driving_chunks`` seam of :meth:`_enumerate`, so the work
-        accounting is charged identically.  ``pid`` is ``None`` for
+        order, consumed by the ``driving_chunks`` seam of :meth:`_enumerate`
+        (or :meth:`_enumerate_vector_join`), so the work accounting is
+        charged identically to the row-at-a-time scan.  ``pid`` is ``None`` for
         single-partition driving tables (no per-partition attribution, like
         the row-at-a-time candidates path).
         """
@@ -907,86 +863,6 @@ class QueryPlan:
         stats.rows_joined += len(out)
         return out
 
-    def _merge_partial_aggregate(
-        self, partials, ctx: ExecContext
-    ) -> List[Tuple[Any, ...]]:
-        """Merge the process-pool workers' per-partition aggregate states.
-
-        ``partials`` is ``(pid, groups, scanned, survivors)`` per partition
-        in partition order, where ``groups`` lists ``(key, item states)`` in
-        the shard's first-seen row order.  Merging in partition order
-        reconstructs the sequential fold exactly: group output order is
-        first appearance in partition-major row order, per-item states merge
-        with associative-by-construction rules (see
-        :func:`_classify_partial_aggregate`), and the scan/join counters are
-        charged as the local enumeration would have.
-        """
-        stats = ctx.stats
-        pscan = stats.partition_rows_scanned
-        kinds = [spec[0] for spec in self.partial_aggregate_spec[1]]
-        merged: Dict[Tuple[Any, ...], List[Any]] = {}
-        order: List[Tuple[Any, ...]] = []
-        total = 0
-        joined = 0
-        for pid, groups, scanned, survivors in partials:
-            if scanned:
-                pscan[pid] = pscan.get(pid, 0) + scanned
-            total += scanned
-            joined += survivors
-            for key, states in groups:
-                state = merged.get(key)
-                if state is None:
-                    merged[key] = list(states)
-                    order.append(key)
-                    continue
-                for i, kind in enumerate(kinds):
-                    incoming = states[i]
-                    if kind in ("count*", "count"):
-                        state[i] += incoming
-                    elif kind in ("sum", "avg"):
-                        state[i] = (
-                            state[i][0] + incoming[0],
-                            state[i][1] + incoming[1],
-                        )
-                    elif kind == "min":
-                        if incoming is not None and (
-                            state[i] is None or incoming < state[i]
-                        ):
-                            state[i] = incoming
-                    elif kind == "max":
-                        if incoming is not None and (
-                            state[i] is None or incoming > state[i]
-                        ):
-                            state[i] = incoming
-                    # "first": keep the earliest partition's value
-        stats.rows_scanned += total
-        stats.rows_joined += joined
-        if not order and not self.statement.group_by:
-            # An ungrouped aggregate of zero rows still yields one row —
-            # synthesise the empty-group fold the row path produces.
-            empty = []
-            for kind in kinds:
-                if kind in ("count*", "count"):
-                    empty.append(0)
-                else:
-                    empty.append(None)
-            return [tuple(empty)]
-        result: List[Tuple[Any, ...]] = []
-        for key in order:
-            state = merged[key]
-            values = []
-            for i, kind in enumerate(kinds):
-                if kind == "sum":
-                    values.append(state[i][0] if state[i][1] else None)
-                elif kind == "avg":
-                    values.append(
-                        state[i][0] / state[i][1] if state[i][1] else None
-                    )
-                else:
-                    values.append(state[i])
-            result.append(tuple(values))
-        return result
-
     def _aggregate(
         self, rows: List[Tuple[Any, ...]], ctx: ExecContext
     ) -> List[Tuple[Any, ...]]:
@@ -1067,240 +943,6 @@ def _build_hash_table(
             pscan[pid] = pscan.get(pid, 0) + built
         stats.rows_scanned += built
     return hash_table
-
-
-# --------------------------------------------------------------------------- #
-# plan lowering: QueryPlan → PlanSpec (plain, picklable data)
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class LevelSpec:
-    """One join level of a :class:`PlanSpec`: plain data, no closures.
-
-    The expression fields hold :class:`~repro.relalg.sqlast.SqlExpr` ASTs —
-    frozen dataclasses of literals, column references and operators that
-    pickle cleanly — instead of the compiled closures the live
-    :class:`_Level` carries.  A worker process re-compiles them locally with
-    :func:`~repro.relalg.compile.compile_row_expr` over the rehydrated slot
-    layout, recovering the exact per-row semantics of the parent's plan.
-    """
-
-    binding: str
-    table: str
-    table_uid: int
-    n_partitions: int
-    offset: int
-    end: int
-    #: Access-path kind: ``"scan"``, ``"index-probe"`` or ``"hash-probe"``.
-    access: str
-    #: Probe/build column (``None`` for plain scans).
-    column: Optional[str]
-    #: Probe key expression AST (``None`` for plain scans).
-    key_ast: Optional[SqlExpr]
-    pruned: bool
-    filter_asts: Tuple[SqlExpr, ...]
-
-
-@dataclass(frozen=True)
-class PlanSpec:
-    """A serializable lowering of one :class:`QueryPlan`.
-
-    Compiled plans are closures over live :class:`Table` objects and cannot
-    cross a process boundary; the spec is the plain-data projection that can:
-    the slot layout as ``(binding, column names)`` pairs, and one
-    :class:`LevelSpec` per join level in execution order.  The process-pool
-    executor ships it to workers once per (statement, plan generation) — the
-    parent's plan cache already keys plans by SQL text and per-table schema
-    epoch, so a re-planned statement produces a fresh spec and the worker's
-    cached compilation is superseded with it.
-
-    ``process_eligible`` marks specs whose *driving* level a shared-nothing
-    worker can execute against its local shards alone: a partitioned full
-    scan whose residual filters are self-contained (no scalar subqueries —
-    those read other tables, which live only in the parent).
-    """
-
-    bindings: Tuple[Tuple[str, Tuple[str, ...]], ...]
-    levels: Tuple[LevelSpec, ...]
-    width: int
-    process_eligible: bool
-    #: Slot-addressed partial-aggregation recipe (see
-    #: :func:`_classify_partial_aggregate`); ``None`` when the plan cannot
-    #: provably merge per-partition fold states.
-    partial_aggregate: Optional[Tuple[Tuple[int, ...],
-                                      Tuple[Tuple[Any, Any], ...]]] = None
-
-    @property
-    def driving(self) -> LevelSpec:
-        return self.levels[0]
-
-
-def expr_has_subquery(expr: SqlExpr) -> bool:
-    """Whether an expression contains a scalar subquery (directly or nested)."""
-    return bool(_expr_subselects(expr))
-
-
-def lower_plan(plan: QueryPlan) -> PlanSpec:
-    """Lower a compiled plan into its plain-data :class:`PlanSpec`."""
-    layout = plan.layout
-    bindings = tuple(
-        (binding, tuple(layout.columns[binding]))
-        for binding, _table in layout.bindings
-    )
-    levels = []
-    for level in plan.levels:
-        access = level.access
-        if type(access) is IndexProbe:
-            column: Optional[str] = access.column
-            pruned = access.pruned
-        elif type(access) is RangeProbe:
-            # Only the driving level of a spec executes worker-side, and a
-            # range-probe driving level is never process-eligible; inner
-            # levels are lowered as descriptive data only.
-            column = access.column
-            pruned = False
-        elif type(access) is HashJoinBuild:
-            column = level.table.schema.columns[access.col_index].name.lower()
-            pruned = False
-        else:
-            column = None
-            pruned = False
-        levels.append(
-            LevelSpec(
-                binding=level.binding,
-                table=level.table.name,
-                table_uid=level.table.uid,
-                n_partitions=level.table.n_partitions,
-                offset=level.offset,
-                end=level.end,
-                access=access.kind,
-                column=column,
-                key_ast=level.key_ast,
-                pruned=pruned,
-                filter_asts=tuple(level.filter_exprs),
-            )
-        )
-    first = plan.levels[0] if plan.levels else None
-    eligible = (
-        first is not None
-        # Index-order pushdown replaces the partition fan-out; keeping these
-        # plans sequential keeps their counters identical in every mode.
-        and plan.index_order is None
-        and type(first.access) is PartitionScan
-        and first.table.n_partitions > 1
-        and not any(expr_has_subquery(expr) for expr in first.filter_exprs)
-    )
-    return PlanSpec(
-        bindings=bindings,
-        levels=tuple(levels),
-        width=layout.width,
-        process_eligible=eligible,
-        partial_aggregate=plan.partial_aggregate_spec,
-    )
-
-
-def _classify_partial_aggregate(
-    statement: SelectStatement, levels: List[_Level], layout: SlotLayout
-) -> Optional[Tuple[Tuple[int, ...], Tuple[Tuple[Any, Any], ...]]]:
-    """Slot-addressed recipe for provably-mergeable partial aggregation.
-
-    Process-pool workers can fold aggregate state per shard and let the
-    parent merge it — but only when merging partial states is *guaranteed*
-    to reproduce the sequential fold byte-for-byte.  That holds for:
-
-    - a single-level partitioned scan (joins would need cross-partition
-      rows), no HAVING (needs group rows), no DISTINCT-in-aggregate (needs
-      the cross-partition value sets);
-    - group keys that are plain column slots — column reads cannot raise,
-      so worker-side evaluation order can never surface an error the row
-      path would have raised elsewhere;
-    - SUM/AVG/MIN/MAX restricted to *proven INTEGER* arguments: a bare
-      INTEGER column slot, or (via :func:`~repro.relalg.semantics.\
-proves_integer`) a closed ``+``/``-``/``*``/unary-minus expression over
-      INTEGER columns and int literals — the schema validates INTEGER
-      columns to Python ints (bools rejected, integral floats coerced),
-      and integer arithmetic is exact, associative and cannot raise.
-      Float folds reassociate under merging (and NaN breaks MIN/MAX), so
-      they fall back;
-    - COUNT over any column (NULL-skipping is order-free) and group-constant
-      select items that are plain columns ("first": the merge keeps the
-      earliest partition's shard-local first value, which *is* the group's
-      first row in partition-major order).
-
-    Returns ``(key_slots, ((kind, slot-or-AST-or-None), ...))`` or ``None``;
-    AST-valued items are compiled into row accessors worker-side by
-    :func:`~repro.relalg.parallel._compile_driving_scan`.
-    Ungrouped statements additionally require every item to be an aggregate:
-    the empty-input synthesis in :meth:`QueryPlan._merge_partial_aggregate`
-    only knows the aggregate folds' empty values.
-    """
-    if len(levels) != 1 or type(levels[0].access) is not PartitionScan:
-        return None
-    if statement.having is not None:
-        return None
-    table = levels[0].table
-    key_slots: List[int] = []
-    for expr in statement.group_by:
-        if type(expr) is not ColumnRef:
-            return None
-        try:
-            key_slots.append(layout.resolve(expr))
-        except Exception:  # lint: allow-broad-except
-            return None
-    items: List[Tuple[Any, Any]] = []
-    for item in statement.items:
-        expr = item.expr
-        if isinstance(expr, FunctionExpr) and expr.is_aggregate:
-            name = expr.name.upper()
-            if expr.distinct:
-                return None
-            if name == "COUNT" and (
-                not expr.args or isinstance(expr.args[0], Star)
-            ):
-                items.append(("count*", None))
-                continue
-            if name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-                return None
-            if not expr.args:
-                return None
-            arg = expr.args[0]
-            if type(arg) is ColumnRef:
-                try:
-                    slot = layout.resolve(arg)
-                except Exception:  # lint: allow-broad-except
-                    return None
-                if name == "COUNT":
-                    items.append(("count", slot))
-                    continue
-                if table.schema.columns[slot].type is not ColumnType.INTEGER:
-                    return None
-                items.append((name.lower(), slot))
-                continue
-            if name == "COUNT":
-                # COUNT over a computed expression could raise worker-side;
-                # stay conservative.
-                return None
-
-            def column_type_of(ref: ColumnRef) -> Optional[ColumnType]:
-                try:
-                    return table.schema.columns[layout.resolve(ref)].type
-                except Exception:  # lint: allow-broad-except
-                    return None
-
-            if not proves_integer(arg, column_type_of):
-                return None
-            items.append((name.lower(), arg))
-            continue
-        if not statement.group_by:
-            return None
-        if type(expr) is not ColumnRef:
-            return None
-        try:
-            items.append(("first", layout.resolve(expr)))
-        except Exception:  # lint: allow-broad-except
-            return None
-    return tuple(key_slots), tuple(items)
 
 
 # --------------------------------------------------------------------------- #
@@ -1386,7 +1028,6 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
 
     vector_aggregate = None
     vector_projector = None
-    partial_aggregate_spec = None
     if statement.is_aggregate_query:
         group_key_fns = [
             compile_row_expr(expr, layout, tables) for expr in statement.group_by
@@ -1418,9 +1059,6 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
                 else "row-at-a-time (group keys or aggregate arguments do "
                      "not batch-compile)"
             )
-        partial_aggregate_spec = _classify_partial_aggregate(
-            statement, levels, layout
-        )
     else:
         group_key_fns = None
         having_fn = None
@@ -1530,7 +1168,6 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
         limit=statement.limit,
         offset=statement.offset,
         table_deps=statement_table_deps(statement),
-        partitioned=any(table.n_partitions > 1 for _binding, table in bindings),
         subquery_plans=[
             plan_select(subselect, tables)
             for subselect in _direct_subselects(statement)
@@ -1545,7 +1182,6 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
         vector_aggregate=vector_aggregate,
         vector_projector=vector_projector,
         vector_join_key=vector_join_key,
-        partial_aggregate_spec=partial_aggregate_spec,
         vector_report=report,
         contradiction=contradiction,
         analysis_report=analysis_report,
@@ -1556,35 +1192,52 @@ def plan_select(statement: SelectStatement, tables: Dict[str, Table]) -> QueryPl
 # -- table dependencies ------------------------------------------------------ #
 
 
-def _expr_subselects(expr: SqlExpr) -> List[SelectStatement]:
-    """The *direct* scalar-subquery SELECTs of one expression.
+def expr_has_subquery(expr: SqlExpr) -> bool:
+    """Whether an expression contains a scalar subquery (directly or nested)."""
+    return bool(_expr_subselects(expr))
 
-    This is the single AST walker every dependency helper builds on: a new
-    ``SqlExpr`` node kind only needs wiring here for table-dependency
-    tracking (and hence per-table plan-cache invalidation) to stay correct.
+
+def _expr_children(node: SqlExpr) -> Tuple[SqlExpr, ...]:
+    """The direct operands of one expression node, left to right.
+
+    This is the single per-node-kind dispatch every expression walk in this
+    module builds on: a new ``SqlExpr`` node kind only needs wiring here for
+    table-dependency tracking (and hence per-table plan-cache invalidation)
+    and join-level placement to stay correct.  A :class:`ScalarSubquery` has
+    no operands here — its SELECT is a self-contained scope.
     """
-    found: List[SelectStatement] = []
+    if isinstance(node, BinaryOperation):
+        return (node.left, node.right)
+    if isinstance(node, (UnaryOperation, IsNull)):
+        return (node.operand,)
+    if isinstance(node, FunctionExpr):
+        return tuple(node.args)
+    if isinstance(node, InList):
+        return (node.operand, *node.items)
+    return ()
 
-    def visit(node: SqlExpr) -> None:
-        if isinstance(node, ScalarSubquery):
-            found.append(node.select)
-        elif isinstance(node, BinaryOperation):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, UnaryOperation):
-            visit(node.operand)
-        elif isinstance(node, FunctionExpr):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, IsNull):
-            visit(node.operand)
-        elif isinstance(node, InList):
-            visit(node.operand)
-            for item in node.items:
-                visit(item)
 
-    visit(expr)
-    return found
+def _walk_expr(expr: SqlExpr) -> List[SqlExpr]:
+    """Every node of one expression, pre-order and left to right.
+
+    Iterative (an explicit stack, no self-recursive closure), so planning
+    leaves no reference cycles behind for the cyclic collector.
+    """
+    nodes: List[SqlExpr] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(_expr_children(node)))
+    return nodes
+
+
+def _expr_subselects(expr: SqlExpr) -> List[SelectStatement]:
+    """The *direct* scalar-subquery SELECTs of one expression."""
+    return [
+        node.select for node in _walk_expr(expr)
+        if isinstance(node, ScalarSubquery)
+    ]
 
 
 def _direct_subselects(select: SelectStatement) -> List[SelectStatement]:
@@ -1680,32 +1333,16 @@ def _required_bindings(
     subqueries are self-contained and require nothing from the outer query.
     """
     refs: Set[str] = set()
-
-    def visit(node: SqlExpr) -> None:
-        if isinstance(node, ColumnRef):
-            if node.table is not None:
-                refs.add(node.table.lower())
-            else:
-                name = node.name.lower()
-                for binding, table in bindings:
-                    if name in (c.name.lower() for c in table.schema.columns):
-                        refs.add(binding)
-        elif isinstance(node, BinaryOperation):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, UnaryOperation):
-            visit(node.operand)
-        elif isinstance(node, FunctionExpr):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, IsNull):
-            visit(node.operand)
-        elif isinstance(node, InList):
-            visit(node.operand)
-            for item in node.items:
-                visit(item)
-
-    visit(expr)
+    for node in _walk_expr(expr):
+        if not isinstance(node, ColumnRef):
+            continue
+        if node.table is not None:
+            refs.add(node.table.lower())
+        else:
+            name = node.name.lower()
+            for binding, table in bindings:
+                if name in (c.name.lower() for c in table.schema.columns):
+                    refs.add(binding)
     return refs
 
 

@@ -128,29 +128,6 @@ class TestCommandLineInterface:
         output = capsys.readouterr().out
         assert "strategy       : pushdown-pipelined" in output
 
-    def test_process_executor_pushdown_run(self, capsys):
-        exit_code = main(
-            [
-                "--workload", "stencil",
-                "--pes", "1", "4",
-                "--strategy", "pushdown",
-                "--db-backend", "ms_access",
-                "--db-partitions", "4",
-                "--db-parallelism", "2",
-                "--db-executor", "process",
-                "--top", "5",
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "strategy       : pushdown" in output
-
-    def test_db_executor_requires_parallelism(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--strategy", "pushdown", "--db-executor", "process"])
-        assert excinfo.value.code == 2
-        assert "--db-parallelism >= 2" in capsys.readouterr().err
-
     def test_pipeline_depth_requires_pushdown(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--strategy", "client", "--pipeline-depth", "4"])

@@ -1,6 +1,6 @@
 """Cross-cutting property-based tests (hypothesis) on core invariants,
 plus the seeded differential fuzzers: compiled engine vs. the seed
-AST-walking engine, and the executor matrix (sequential / rowwise / process)
+AST-walking engine, and the executor matrix (sequential / rowwise)
 against the sequential reference — each replayed from a persistent seed
 corpus before random exploration."""
 
@@ -526,16 +526,16 @@ def _run_engine_differential_case(seed):
 
 
 # --------------------------------------------------------------------------- #
-# Executor-differential fuzzer: sequential vs. rowwise vs. process executors
+# Executor-differential fuzzer: sequential (vectorized) vs. rowwise
 # --------------------------------------------------------------------------- #
 #
-# Every seeded case builds the same random schema in nine databases — the
-# executor matrix {sequential, rowwise (vectorized off), process}
+# Every seeded case builds the same random schema in six databases — the
+# executor matrix {sequential, rowwise (vectorized off)}
 # × n_partitions {1, 4, 7} —
 # and replays one random statement stream of SELECTs (including multi-table
 # GROUP BY/HAVING) *interleaved with DML* (INSERT/DELETE between SELECTs,
-# exercising the process executor's shard re-sync) against all of them.  At
-# every partition count the rowwise and process executors must return rows
+# exercising the columnar chunk-cache invalidation) against all of them.  At
+# every partition count the rowwise executor must return rows
 # byte-identical to the sequential reference (same partition-major
 # enumeration order — no float tolerance needed) with sequential-identical
 # QueryStats, including the per-partition scan attribution, on every plan.
@@ -550,9 +550,8 @@ def _random_executor_select(rng):
     can check exactly (float HAVING boundaries are order-sensitive, but all
     executors enumerate in the same partition-major order)."""
     if rng.random() < 0.3:
-        # A LIMIT sometimes rides along: HAVING plans are ineligible for
-        # partial aggregation, so this exercises top-k over a locally
-        # aggregated (non-merged) result on every executor.
+        # A LIMIT sometimes rides along, exercising top-k over an
+        # aggregated result on every executor.
         limit = f" LIMIT {rng.randint(1, 5)}" if rng.random() < 0.4 else ""
         if rng.random() < 0.5:
             return (
@@ -603,9 +602,9 @@ def _random_dml(rng, fresh_ids):
     return ("execute", "DELETE FROM r WHERE v > ?", [round(rng.uniform(40.0, 100.0), 3)])
 
 
-def _run_executor_differential_case(seed, process_pool):
+def _run_executor_differential_case(seed):
     """One executor-matrix case, shared by the corpus replay and the random
-    exploration.  ``process_pool`` is the shared session worker pool."""
+    exploration."""
     rng = random.Random(seed)
     ddl, m_rows, r_rows = _random_schema(rng)
     groups = {}
@@ -614,7 +613,6 @@ def _run_executor_differential_case(seed, process_pool):
             groups[parts] = {
                 "sequential": Database(n_partitions=parts),
                 "rowwise": Database(n_partitions=parts, vectorized=False),
-                "process": Database(n_partitions=parts, executor=process_pool),
             }
             for database in groups[parts].values():
                 _load_schema(database, ddl, m_rows, r_rows)
@@ -631,16 +629,15 @@ def _run_executor_differential_case(seed, process_pool):
                         sql, group["sequential"].tables, seed
                     )
                     reference = group["sequential"].query(sql, payload)
-                    for kind in ("rowwise", "process"):
-                        result = group[kind].query(sql, payload)
-                        label = (seed, sql, parts, kind)
-                        assert result.columns == reference.columns, label
-                        assert result.rows == reference.rows, label
-                        assert result.stats == reference.stats, label
-                        assert (
-                            result.stats.partition_rows_scanned
-                            == reference.stats.partition_rows_scanned
-                        ), label
+                    result = group["rowwise"].query(sql, payload)
+                    label = (seed, sql, parts, "rowwise")
+                    assert result.columns == reference.columns, label
+                    assert result.rows == reference.rows, label
+                    assert result.stats == reference.stats, label
+                    assert (
+                        result.stats.partition_rows_scanned
+                        == reference.stats.partition_rows_scanned
+                    ), label
                 else:
                     affected = {}
                     for kind, database in group.items():
@@ -650,7 +647,6 @@ def _run_executor_differential_case(seed, process_pool):
                             affected[kind] = database.execute(sql, payload)
                     label = (seed, sql, parts)
                     assert affected["rowwise"] == affected["sequential"], label
-                    assert affected["process"] == affected["sequential"], label
         # The mistyped rejection must be byte-identical across the whole
         # executor matrix too — both as a SELECT and as a DELETE predicate
         # (no rows may be deleted before the rejection fires).
@@ -702,8 +698,8 @@ class TestFuzzerSeedCorpus:
         _run_engine_differential_case(seed)
 
     @pytest.mark.parametrize("seed", _corpus_seeds())
-    def test_corpus_executor_differential(self, seed, process_pool):
-        _run_executor_differential_case(seed, process_pool)
+    def test_corpus_executor_differential(self, seed):
+        _run_executor_differential_case(seed)
 
 
 class TestEngineDifferentialFuzzer:
@@ -714,5 +710,5 @@ class TestEngineDifferentialFuzzer:
 
 class TestExecutorDifferentialFuzzer:
     @pytest.mark.parametrize("seed", range(_EXECUTOR_FUZZ_CASES))
-    def test_executors_agree_under_interleaved_dml(self, seed, process_pool):
-        _run_executor_differential_case(seed, process_pool)
+    def test_executors_agree_under_interleaved_dml(self, seed):
+        _run_executor_differential_case(seed)

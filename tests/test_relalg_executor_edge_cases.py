@@ -323,3 +323,40 @@ class TestExecutionLeavesNoCycles:
             finally:
                 gc.enable()
             assert leaked == 0
+
+    def test_plan_cache_misses_leave_no_cycles(self):
+        # Planning is freed by reference counting alone too: expression
+        # walks must not leave self-referencing ``visit`` closures (or any
+        # other cycle) behind, which with the collector off would strand
+        # them and everything they hold until the next cyclic collection.
+        with Database(n_partitions=2) as database:
+            database.execute(
+                "CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT)"
+            )
+            database.executemany(
+                "INSERT INTO t (id, g, x) VALUES (?, ?, ?)",
+                [(i, i % 3, float(i)) for i in range(30)],
+            )
+            gc.collect()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                for literal in range(20):  # distinct SQL text: all misses
+                    database.query(
+                        f"SELECT a.id, b.x FROM t a, t b WHERE a.g = b.id "
+                        f"AND a.x > {literal} AND (b.g IN (1, 2) OR b.x IS "
+                        f"NULL) AND a.id < (SELECT MAX(id) FROM t WHERE "
+                        f"-g < {literal})"
+                    )
+                gc.collect()
+                stranded = [
+                    getattr(obj, "__qualname__", type(obj).__name__)
+                    for obj in gc.garbage
+                ]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+            assert database.plan_cache_info()["misses"] >= 20
+            assert not any(name.endswith(".visit") for name in stranded)
+            assert stranded == []

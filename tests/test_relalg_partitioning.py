@@ -1,11 +1,11 @@
-"""Partitioned storage: edge cases, statistics, pruning and parallelism.
+"""Partitioned storage: edge cases, statistics, pruning and virtual parallelism.
 
 Covers the hash-partitioned :class:`~repro.relalg.storage.Table` (composite
 and absent partition keys, cross-partition batch atomicity, per-partition
 tombstone compaction), the maintained cardinality statistics (including
 staleness after DELETE-heavy workloads), partition-pruned index probes, the
-EXPLAIN surface, the process-pool partition fan-out and the per-partition
-virtual cost charging of the simulated backends.
+EXPLAIN surface and the per-partition virtual cost charging of the
+simulated backends.
 """
 
 import pytest
@@ -334,67 +334,7 @@ class TestPartitionPruning:
             db.explain("DELETE FROM m")
 
 
-class TestParallelExecution:
-    def _make(self, **kwargs):
-        db = Database(n_partitions=4, **kwargs)
-        db.execute(
-            "CREATE TABLE m (id INTEGER PRIMARY KEY, g INTEGER, x FLOAT)"
-        )
-        db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, m_id INTEGER)")
-        db.executemany(
-            "INSERT INTO m (id, g, x) VALUES (?, ?, ?)",
-            [(i, i % 5, float(i)) for i in range(100)],
-        )
-        db.executemany(
-            "INSERT INTO r (id, m_id) VALUES (?, ?)",
-            [(i, (i * 7) % 100) for i in range(40)],
-        )
-        return db
-
-    @pytest.mark.parametrize("keyword", ["parallel", "process"])
-    @pytest.mark.parametrize(
-        "sql, params",
-        [
-            ("SELECT id, g FROM m WHERE g = ? ORDER BY id", [2]),
-            ("SELECT COUNT(*), SUM(x) FROM m WHERE x > ?", [10.0]),
-            (
-                "SELECT m.id, r.id FROM m, r WHERE m.g = r.m_id "
-                "ORDER BY m.id, r.id",
-                [],
-            ),
-        ],
-    )
-    def test_parallel_matches_sequential(
-        self, sql, params, keyword, process_pool
-    ):
-        # parallel=3 spreads 4 partitions unevenly over a pool the database
-        # owns; executor= lends it the shared pool instead.
-        kwargs = (
-            {"parallel": 3} if keyword == "parallel"
-            else {"executor": process_pool}
-        )
-        sequential = self._make()
-        with self._make(**kwargs) as parallel:
-            expected = sequential.query(sql, params)
-            got = parallel.query(sql, params)
-            assert got.columns == expected.columns
-            assert got.rows == expected.rows
-            assert got.stats.rows_scanned == expected.stats.rows_scanned
-            assert (
-                got.stats.partition_rows_scanned
-                == expected.stats.partition_rows_scanned
-            )
-
-    def test_parallel_validation(self):
-        with pytest.raises(ExecutionError, match="parallel"):
-            Database(parallel=1)
-        with pytest.raises(ExecutionError, match="parallel"):
-            Database(parallel="2")
-        with pytest.raises(ExecutionError, match="parallel"):
-            Database(parallel=True)
-        with Database(parallel=2) as db:
-            db.close()  # idempotent even if the pool was never created
-
+class TestDatabaseOptions:
     def test_vectorized_chunk_size_validation(self):
         with pytest.raises(ExecutionError, match="vectorized_chunk_size"):
             Database(vectorized_chunk_size=0)

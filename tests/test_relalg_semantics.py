@@ -1,8 +1,7 @@
 """Plan-time semantic analysis: typed rejections identical across every
 engine, the conservative-acceptance contract, constant folding and
 contradiction pruning with exact stats, the EXPLAIN ``analysis:`` section,
-partial-aggregate widening over proven-INTEGER expressions, error
-attribution, and the engine-invariant lint pass."""
+error attribution, and the engine-invariant lint pass."""
 
 from __future__ import annotations
 
@@ -15,11 +14,9 @@ import pytest
 from repro.relalg import (
     Database,
     ExecutionError,
-    QueryPlan,
     SemanticError,
     analyze_select,
     parse_sql,
-    plan_select,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -43,13 +40,12 @@ def _populate(db: Database) -> Database:
     return db
 
 
-def _engines(process_pool):
+def _engines():
     """One database per engine mode; every mode must behave identically."""
     return {
         "interpreted": _populate(Database(engine="interpreted")),
         "vectorized": _populate(Database(n_partitions=3)),
         "row-at-a-time": _populate(Database(n_partitions=3, vectorized=False)),
-        "process": _populate(Database(n_partitions=3, executor=process_pool)),
     }
 
 
@@ -77,10 +73,10 @@ REJECTED = [
 class TestTypedRejection:
     @pytest.mark.parametrize("sql,needle", REJECTED, ids=[s for s, _ in REJECTED])
     def test_identical_semantic_error_across_engines(
-        self, sql, needle, process_pool
+        self, sql, needle
     ):
         messages = set()
-        for name, db in _engines(process_pool).items():
+        for name, db in _engines().items():
             with pytest.raises(SemanticError, match=needle) as excinfo:
                 db.execute(sql)
             assert isinstance(excinfo.value, ExecutionError), name
@@ -102,9 +98,9 @@ class TestTypedRejection:
             db.execute("DELETE FROM m WHERE s > 5")
         assert db.execute("SELECT COUNT(*) FROM m").rows == before
 
-    def test_delete_rejection_identical_across_engines(self, process_pool):
+    def test_delete_rejection_identical_across_engines(self):
         messages = set()
-        for db in _engines(process_pool).values():
+        for db in _engines().values():
             with pytest.raises(SemanticError) as excinfo:
                 db.execute("DELETE FROM m WHERE s > 5")
             messages.add(str(excinfo.value))
@@ -145,8 +141,8 @@ ACCEPTED = [
 
 class TestConservativeAcceptance:
     @pytest.mark.parametrize("sql,params", ACCEPTED, ids=[s for s, _ in ACCEPTED])
-    def test_statement_accepted_and_engines_agree(self, sql, params, process_pool):
-        engines = _engines(process_pool)
+    def test_statement_accepted_and_engines_agree(self, sql, params):
+        engines = _engines()
         reference = engines.pop("interpreted")
         # no ORDER BY in these statements: compare as multisets
         expected = sorted(map(repr, reference.execute(sql, params).rows))
@@ -202,8 +198,8 @@ class TestConstantFolding:
 # --------------------------------------------------------------------------- #
 
 class TestContradictionPruning:
-    def test_always_false_conjuncts_skip_the_scan(self, process_pool):
-        for name, db in _engines(process_pool).items():
+    def test_always_false_conjuncts_skip_the_scan(self):
+        for name, db in _engines().items():
             if name == "interpreted":
                 continue  # the AST walker has no plan to prune
             result = db.execute("SELECT id FROM m WHERE g = 1 AND g = 2")
@@ -282,79 +278,21 @@ class TestExplainAnalysis:
 
 
 # --------------------------------------------------------------------------- #
-# partial-aggregate widening over proven-INTEGER expressions
-# --------------------------------------------------------------------------- #
-
-class TestPartialAggregateWidening:
-    def test_integer_expression_ships_partial_states(self):
-        db = _populate(Database(n_partitions=3))
-        plan = plan_select(
-            parse_sql("SELECT g, SUM(g + id) FROM m GROUP BY g"), db.tables
-        )
-        assert plan.partial_aggregate_spec is not None
-        kinds = [kind for kind, _ in plan.partial_aggregate_spec[1]]
-        assert "sum" in kinds
-
-    def test_float_sum_stays_unmergeable(self):
-        # Pinned: float addition is not associative across shards.
-        db = _populate(Database(n_partitions=3))
-        plan = plan_select(
-            parse_sql("SELECT g, SUM(x) FROM m GROUP BY g"), db.tables
-        )
-        assert plan.partial_aggregate_spec is None
-        assert "partial-aggregation" not in db.explain(
-            "SELECT g, SUM(x) FROM m GROUP BY g"
-        )
-
-    def test_untyped_expressions_stay_unmergeable(self):
-        db = _populate(Database(n_partitions=3))
-        for sql in (
-            "SELECT g, SUM(id / 2) FROM m GROUP BY g",  # DIV may yield float
-            "SELECT g, SUM(id + ?) FROM m GROUP BY g",  # placeholder untyped
-        ):
-            plan = plan_select(parse_sql(sql), db.tables)
-            assert plan.partial_aggregate_spec is None, sql
-
-    def test_explain_reports_mergeable(self):
-        db = _populate(Database(n_partitions=3))
-        text = db.explain("SELECT g, SUM(g + id) FROM m GROUP BY g")
-        assert "partial-aggregation: mergeable" in text
-
-    def test_process_executor_takes_the_merge_path(
-        self, process_pool, monkeypatch
-    ):
-        sql = "SELECT g, SUM(g + id), AVG(id + id), COUNT(*) FROM m GROUP BY g ORDER BY g"
-        expected = _populate(Database(n_partitions=3)).execute(sql).rows
-
-        merged = []
-        original = QueryPlan._merge_partial_aggregate
-
-        def spy(self, partials, ctx):
-            merged.append(len(partials))
-            return original(self, partials, ctx)
-
-        monkeypatch.setattr(QueryPlan, "_merge_partial_aggregate", spy)
-        db = _populate(Database(n_partitions=3, executor=process_pool))
-        assert db.execute(sql).rows == expected
-        assert merged, "partial-aggregate merge path was not taken"
-
-
-# --------------------------------------------------------------------------- #
 # error attribution
 # --------------------------------------------------------------------------- #
 
 class TestErrorAttribution:
-    def test_division_by_zero_names_the_expression(self, process_pool):
+    def test_division_by_zero_names_the_expression(self):
         messages = set()
-        for db in _engines(process_pool).values():
+        for db in _engines().values():
             with pytest.raises(ExecutionError, match="division by zero") as excinfo:
                 db.execute("SELECT x / (g - g) FROM m")
             messages.add(str(excinfo.value))
         assert messages == {"division by zero in x / (g - g)"}
 
-    def test_invalid_operands_name_the_expression(self, process_pool):
+    def test_invalid_operands_name_the_expression(self):
         messages = set()
-        for db in _engines(process_pool).values():
+        for db in _engines().values():
             with pytest.raises(ExecutionError, match="invalid operands") as excinfo:
                 db.execute("SELECT x + ? FROM m", ["oops"])
             messages.add(str(excinfo.value))

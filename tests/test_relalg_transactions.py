@@ -180,41 +180,6 @@ class TestAutocommitOnlyOperations:
                 db.checkpoint()
 
 
-class TestSnapshotIsolation:
-    def test_partition_snapshot_hides_staged_rows(self):
-        with _fresh() as db:
-            table = db.table("t")
-            committed = [
-                table.partition_snapshot(pid)[1]
-                for pid in range(table.n_partitions)
-            ]
-            db.begin()
-            db.executemany(_INS, [(800 + i, i % 3, 8.0) for i in range(16)])
-            db.execute("DELETE FROM t WHERE g = ?", [1])
-            staged_view = [
-                table.partition_snapshot(pid)[1]
-                for pid in range(table.n_partitions)
-            ]
-            assert staged_view == committed
-            assert staged_view == [
-                table.committed_rows(pid) for pid in range(table.n_partitions)
-            ]
-            db.rollback()
-
-    def test_process_fanout_falls_back_while_staged(self, process_pool):
-        """With staged writes, the process executor's shards only hold
-        committed versions — the query must still see the staged rows."""
-        with Database(n_partitions=4, executor=process_pool) as db:
-            db.execute(_DDL)
-            db.executemany(_INS, [(i, i % 3, float(i)) for i in range(1, 41)])
-            assert _count(db) == 40  # warm the shard sync on the pool
-            db.begin()
-            db.execute(_INS, (900, 0, 9.0))
-            assert _count(db) == 41
-            db.commit()
-            assert _count(db) == 41
-
-
 class TestCloseWithOpenTransaction:
     def test_close_rolls_back_with_warning(self, tmp_path):
         wal_path = tmp_path / "close.wal"
