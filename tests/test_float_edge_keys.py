@@ -75,8 +75,8 @@ class TestHashIndexEdgeKeys:
         assert index.distinct_count() == 0
 
 
-def _edge_database(**kwargs):
-    database = Database(n_partitions=4, **kwargs)
+def _edge_database(n_partitions=4, **kwargs):
+    database = Database(n_partitions=n_partitions, **kwargs)
     database.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, x FLOAT, s VARCHAR)"
     )
@@ -130,6 +130,24 @@ class TestQueryLayerAgreement:
                     compiled.query(sql, params).rows
                     == interpreted.query(sql, params).rows
                 ), (sql, params)
+
+    @pytest.mark.parametrize("n_partitions", [1, 7])
+    def test_partition_counts_and_executors_agree(self, n_partitions):
+        with _edge_database() as reference, _edge_database(
+            n_partitions=n_partitions, vectorized=False
+        ) as rowwise, _edge_database(n_partitions=n_partitions) as vectorized:
+            for sql, params in [
+                ("SELECT id, s FROM t WHERE x = ? ORDER BY id", [0.0]),
+                ("SELECT id, s FROM t WHERE x = ? ORDER BY id", [-0.0]),
+                ("SELECT id, s FROM t WHERE x = ? ORDER BY id", [NAN]),
+                ("SELECT id, s FROM t ORDER BY id", []),
+            ]:
+                expected = reference.query(sql, params)
+                got_rowwise = rowwise.query(sql, params)
+                got_vectorized = vectorized.query(sql, params)
+                assert got_rowwise.rows == expected.rows, (sql, params)
+                assert got_vectorized.rows == expected.rows, (sql, params)
+                assert got_rowwise.stats == got_vectorized.stats, (sql, params)
 
 
 class TestWalRowKeyEdgeCases:

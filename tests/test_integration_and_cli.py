@@ -128,6 +128,30 @@ class TestCommandLineInterface:
         output = capsys.readouterr().out
         assert "strategy       : pushdown-pipelined" in output
 
+    @pytest.mark.parametrize("partitions, parallelism", [(4, 2), (7, 3)])
+    def test_partitioned_pushdown_run_matches_unpartitioned(
+        self, capsys, partitions, parallelism
+    ):
+        base = [
+            "--workload", "stencil",
+            "--pes", "1", "4",
+            "--strategy", "pushdown",
+            "--db-backend", "ms_access",
+            "--top", "5",
+        ]
+        assert main(base) == 0
+        expected = capsys.readouterr().out
+        exit_code = main(
+            base + [
+                "--db-partitions", str(partitions),
+                "--db-parallelism", str(parallelism),
+            ]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "strategy       : pushdown" in output
+        assert output == expected
+
     def test_pipeline_depth_requires_pushdown(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--strategy", "client", "--pipeline-depth", "4"])

@@ -3,7 +3,8 @@
 Covers the BEGIN / COMMIT / ROLLBACK surface end to end: statement parsing,
 read-your-writes inside a transaction, byte-identical rollback (rows, index
 buckets, tombstones and table statistics, all via the state fingerprint),
-snapshot isolation of the committed view, the autocommit-only DDL rule,
+the vectorized engine's row-at-a-time reads while writes are staged, the
+autocommit-only DDL rule,
 close()-time rollback, WAL recovery and checkpointing, the client and
 backend pass-through, and the loader's atomic bulk-load mode.
 """
@@ -178,6 +179,70 @@ class TestAutocommitOnlyOperations:
         with _fresh() as db:
             with pytest.raises(ExecutionError, match="write-ahead log"):
                 db.checkpoint()
+
+
+class TestStagedWriteFallback:
+    """Columnar chunks are built from live row lists that include staged
+    rows, so a vectorized database reads row-at-a-time while a transaction
+    has staged writes; its answers must match a row-at-a-time database
+    driven through the same transaction."""
+
+    _QUERIES = [
+        ("SELECT COUNT(*), SUM(x) FROM t WHERE x > ?", [5.0]),
+        ("SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g", []),
+        ("SELECT id FROM t WHERE g = ? ORDER BY id DESC LIMIT 5", [1]),
+    ]
+
+    def _both(self):
+        return _fresh(), _fresh(vectorized=False)
+
+    def _assert_agree(self, vectorized, rowwise):
+        for sql, params in self._QUERIES:
+            expected = rowwise.query(sql, params)
+            got = vectorized.query(sql, params)
+            assert got.rows == expected.rows, sql
+            assert got.stats == expected.stats, sql
+
+    def test_only_staged_writes_pin_the_row_engine(self):
+        with _fresh() as db:
+            db.begin()
+            db.query("SELECT COUNT(*) FROM t")
+            assert db._vectorized_now()  # reads alone stage nothing
+            db.execute(_INS, (800, 0, 8.0))
+            assert not db._vectorized_now()
+            db.commit()
+            assert db._vectorized_now()
+
+    def test_staged_inserts_and_deletes_read_like_the_row_engine(self):
+        vectorized, rowwise = self._both()
+        with vectorized, rowwise:
+            for db in (vectorized, rowwise):
+                db.begin()
+                db.executemany(_INS, [(800 + i, i % 3, 8.5) for i in range(12)])
+                db.execute("DELETE FROM t WHERE g = ? AND x < ?", [2, 20.0])
+            self._assert_agree(vectorized, rowwise)
+            # six committed and four staged rows have g = 2 and x < 20
+            assert _count(vectorized) == 40 + 12 - 10
+            for db in (vectorized, rowwise):
+                db.rollback()
+
+    @pytest.mark.parametrize("end", ["commit", "rollback"])
+    def test_vectorized_reads_resume_after_the_transaction(self, end):
+        vectorized, rowwise = self._both()
+        with vectorized, rowwise:
+            before = _count(vectorized)
+            for db in (vectorized, rowwise):
+                db.begin()
+                db.execute(_INS, (900, 1, 9.0))
+                db.execute("DELETE FROM t WHERE id = ?", [3])
+                getattr(db, end)()
+            assert vectorized._vectorized_now()
+            self._assert_agree(vectorized, rowwise)
+            assert _count(vectorized) == before
+            staged_visible = vectorized.query(
+                "SELECT COUNT(*) FROM t WHERE id = ?", [900]
+            ).scalar()
+            assert staged_visible == (1 if end == "commit" else 0)
 
 
 class TestCloseWithOpenTransaction:
